@@ -38,10 +38,11 @@
 //! the offending run panic instead of silently reporting wrong numbers.
 //!
 //! `--persist MODE` (`off`, `eager`, `epoch` or `on-evict`) selects the
-//! NVM write-behind flush policy for the `recovery` experiment family, and
-//! `--faults KIND` (`host-power-loss` or `guest-crash-persist`) picks the
-//! crash its fault-arming drivers inject mid-run. Every other target
-//! ignores both flags, so its exports are unchanged by them.
+//! NVM write-behind flush policy for the `recovery` experiment family and
+//! `ckpt-single`, and `--faults KIND` (`host-power-loss` or
+//! `guest-crash-persist`) picks the crash the recovery family's
+//! fault-arming drivers inject mid-run. Every other target ignores both
+//! flags, so its exports are unchanged by them.
 //!
 //! `--hosts N` and `--arrival MODE` (`poisson` or `trace`) shape the
 //! `cluster` target — the rack-scale consolidation run with inter-host

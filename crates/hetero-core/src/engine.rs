@@ -805,41 +805,36 @@ impl<W: Workload> SingleVmSim<W> {
         self.lost_frames
     }
 
-    /// End-of-epoch write-behind pass over the NVM tier: observes every
-    /// SlowMem-resident frame's write activity, retires frames that left
-    /// the tier, and charges the flush policy's `clflush`/`sfence` traffic
-    /// for whatever the policy drains this epoch. A no-op (zero cost, zero
+    /// End-of-epoch write-behind pass over the NVM tier: one
+    /// [`PersistDomain::sweep`] over every present SlowMem frame's write
+    /// activity, then the flush policy's `clflush`/`sfence` traffic for
+    /// whatever the policy drained this epoch. A no-op (zero cost, zero
     /// telemetry, zero RNG draws) when the flush policy is `Off`.
     fn update_persistence(&mut self) {
-        let Some(mut dom) = self.persist.take() else {
+        let Some(dom) = self.persist.as_mut() else {
             return;
         };
-        let mut resident: Vec<u64> = Vec::new();
-        {
-            let mm = self.kernel.memmap();
-            for gfn in mm.iter_kind(MemKind::Slow) {
+        let mm = self.kernel.memmap();
+        let to_flush = dom.sweep(
+            self.epochs,
+            mm.iter_kind(MemKind::Slow).filter_map(|gfn| {
                 let p = mm.page(gfn);
-                if !p.is_present() {
-                    continue;
-                }
-                resident.push(gfn.0);
                 // Write-hot pages re-dirty faster than any flusher drains
                 // them; a set dirty bit marks an unflushed buffered write
                 // even on read-mostly pages.
-                let written = p.write_heat > PERSIST_WRITE_HOT
-                    || p.flags.contains(PageFlags::DIRTY);
-                dom.observe(gfn.0, written);
-            }
-        }
-        dom.retain_resident(&resident);
-        let to_flush = dom.end_epoch(self.epochs);
+                p.is_present().then(|| {
+                    let written =
+                        p.write_heat > PERSIST_WRITE_HOT || p.flags.contains(PageFlags::DIRTY);
+                    (gfn.0, written)
+                })
+            }),
+        );
         if to_flush > 0 {
             let span = self.span_open("persist-flush");
             let cost = self.cfg.costs.flush_cost(self.cfg.real_pages(to_flush));
             self.charge_management(cost);
             self.span_close(span);
         }
-        self.persist = Some(dom);
     }
 
     /// Tears the stack down after a crash and reboots it from the NVM

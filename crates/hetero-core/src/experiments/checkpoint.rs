@@ -29,15 +29,21 @@ const GB: u64 = 1 << 30;
 
 /// The single-VM checkpoint scenario: redis on the paper's 1:4
 /// fast:slow capacity split. Honors `--quick`, `--seed`, `--audit`,
-/// `--sched`, `--tier-profile` and `--tracking`.
+/// `--sched`, `--tier-profile`, `--tracking` and `--persist`; any flush
+/// policy but `off` arms the persistence domain over an NVM slow tier,
+/// as the recovery drivers do.
 pub fn single_sim(opts: &ExpOptions, policy: Policy) -> SingleVmSim<AppWorkload> {
-    let cfg = SimConfig::paper_default()
-        .with_capacity_ratio(1, 4)
-        .with_seed(opts.seed)
-        .with_audit(opts.audit)
-        .with_sched(opts.sched)
-        .with_tier_profile(opts.tier_profile)
-        .with_tracking(opts.tracking);
+    let cfg = SimConfig {
+        nvm_slow: opts.persist.is_enabled(),
+        ..SimConfig::paper_default()
+            .with_capacity_ratio(1, 4)
+            .with_seed(opts.seed)
+            .with_audit(opts.audit)
+            .with_sched(opts.sched)
+            .with_tier_profile(opts.tier_profile)
+            .with_tracking(opts.tracking)
+            .with_persist(opts.persist)
+    };
     let spec = opts.tune(apps::redis());
     let workload = AppWorkload::new(spec, cfg.page_size, cfg.scale);
     SingleVmSim::new(cfg, policy, workload)
@@ -90,6 +96,7 @@ pub fn cluster_sim(opts: &ExpOptions) -> Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetero_mem::FlushPolicy;
 
     #[test]
     fn single_scenario_checkpoints_and_resumes_identically() {
@@ -112,6 +119,31 @@ mod tests {
 
         assert_eq!(straight.report(), resumed.report());
         assert_eq!(straight.save(), resumed.save(), "final state must be byte-identical");
+    }
+
+    #[test]
+    fn single_scenario_honors_persist() {
+        let off = single_sim(&ExpOptions::quick(), Policy::HeteroCoordinated);
+        assert!(
+            off.persist_domain().is_none(),
+            "the default `off` arms no domain"
+        );
+
+        let opts = ExpOptions::quick().with_persist(FlushPolicy::EpochBatched);
+        let mut sim = single_sim(&opts, Policy::HeteroCoordinated);
+        // Redis first spills onto SlowMem a dozen epochs in.
+        for _ in 0..16 {
+            assert!(sim.step(), "scenario must outlast the probe");
+        }
+        let dom = sim
+            .persist_domain()
+            .expect("--persist epoch arms the domain");
+        assert_eq!(dom.policy(), FlushPolicy::EpochBatched);
+        assert!(
+            dom.tracked() > 0,
+            "the domain tracks the NVM-resident frames"
+        );
+        assert!(dom.fences > 0, "a batch drained the first NVM fills");
     }
 
     #[test]

@@ -52,10 +52,11 @@ pub struct ExpOptions {
     /// Observational (results are byte-identical at any level), but a
     /// violation makes the offending run panic instead of reporting.
     pub audit: AuditLevel,
-    /// NVM flush policy for the recovery experiment family (`repro
-    /// --persist MODE`). `Off` lets each recovery driver pick its own
-    /// default (eager); every non-recovery experiment ignores this, so
-    /// their exports stay byte-identical whatever the value.
+    /// NVM flush policy for the recovery experiment family and the
+    /// `ckpt-single` scenario (`repro --persist MODE`). `Off` lets each
+    /// recovery driver pick its own default (eager) and leaves
+    /// `ckpt-single` without a domain; every other experiment ignores
+    /// this, so their exports stay byte-identical whatever the value.
     pub persist: FlushPolicy,
     /// Crash kind the fault-arming recovery drivers inject (`repro
     /// --faults KIND`). `None` leaves each driver's default
@@ -122,7 +123,8 @@ impl ExpOptions {
         self
     }
 
-    /// Sets the NVM flush policy for the recovery experiments.
+    /// Sets the NVM flush policy for the recovery experiments and
+    /// `ckpt-single`.
     pub fn with_persist(mut self, persist: FlushPolicy) -> Self {
         self.persist = persist;
         self

@@ -11,6 +11,9 @@
 //! * a chaos leg with latency storms and power losses armed, snapshotted
 //!   mid-storm — the resumed fault trace and recovery state must match
 //!   byte for byte,
+//! * a persistence leg: the NVM write-behind domain under every flush
+//!   policy with host power loss armed, resumed from two cut points and
+//!   pinned to committed digests of a mid-run snapshot and the report,
 //! * the failure modes: flipped version byte, wrong layer, truncation —
 //!   each a descriptive `Err`, never a panic.
 
@@ -19,7 +22,7 @@ use hetero_core::experiments::ExpOptions;
 use hetero_core::multivm::MultiVmSim;
 use hetero_core::{Cluster, Policy, SimConfig, SingleVmSim, Tracking};
 use hetero_faults::{FaultInjector, FaultPlan};
-use hetero_mem::TierProfile;
+use hetero_mem::{FlushPolicy, TierProfile};
 use hetero_sim::snap::SnapshotError;
 use hetero_workloads::{apps, AppWorkload};
 
@@ -247,65 +250,148 @@ fn stormy_plan(seed: u64) -> FaultPlan {
     }
 }
 
-#[test]
-fn checkpoint_under_armed_faults_resumes_identically() {
-    let opts = quick_with_seed(42);
-    let mut straight = single_sim(&opts, Policy::HeteroCoordinated);
-    straight.set_fault_injector(FaultInjector::new(stormy_plan(7)));
+/// Runs a fault-armed single-VM scenario straight through, then resumes
+/// it from a snapshot taken after each of `cuts(total steps)` steps. The
+/// resumed report, fault trace and final snapshot bytes must equal the
+/// straight run's. Returns the straight run's fault trace and report
+/// JSON, and the snapshot taken at the first cut.
+fn resume_under_faults(
+    name: &str,
+    build: &dyn Fn() -> SingleVmSim<AppWorkload>,
+    cuts: fn(u64) -> [u64; 2],
+) -> (String, String, Vec<u8>) {
+    let trace = |sim: &SingleVmSim<AppWorkload>| {
+        sim.fault_injector()
+            .expect("injector stays armed")
+            .trace()
+            .to_text()
+    };
+    let mut straight = build();
     let mut total = 0u64;
     while straight.step() {
         total += 1;
     }
-    assert!(total >= 3, "chaos run too short to checkpoint mid-storm");
-    let straight_trace = straight
-        .fault_injector()
-        .expect("injector stays armed")
-        .trace()
-        .to_text();
-    assert!(
-        straight_trace.contains("latency-storm"),
-        "plan must actually fire storms:\n{straight_trace}"
-    );
-    assert!(
-        straight_trace.contains("host-power-loss"),
-        "plan must actually pull the plug:\n{straight_trace}"
-    );
+    let straight_trace = trace(&straight);
     let straight_final = straight.save();
     let straight_report = straight.report();
 
-    // Checkpoint at two different depths — with storms armed at 40% per
-    // step and storms lasting up to 8 epochs, at least one of these lands
-    // inside an active storm window.
-    for cut in [total / 3, 2 * total / 3] {
-        let mut first = single_sim(&opts, Policy::HeteroCoordinated);
-        first.set_fault_injector(FaultInjector::new(stormy_plan(7)));
+    let mut first_snap = Vec::new();
+    for cut in cuts(total) {
+        assert!(
+            (1..total).contains(&cut),
+            "{name}: cut {cut} is not inside the {total}-step run"
+        );
+        let mut first = build();
         for _ in 0..cut {
-            assert!(first.step(), "cut={cut}: checkpoint past the end");
+            first.step();
         }
         let snap = first.save();
         drop(first);
         let mut resumed = SingleVmSim::restore(&snap)
-            .unwrap_or_else(|e| panic!("cut={cut}: restore failed: {e}"));
+            .unwrap_or_else(|e| panic!("{name}/cut={cut}: restore failed: {e}"));
         while resumed.step() {}
         assert_eq!(
             resumed.report(),
             straight_report,
-            "cut={cut}: chaos report diverged"
+            "{name}/cut={cut}: report diverged"
         );
         assert_eq!(
-            resumed
-                .fault_injector()
-                .expect("injector survives the snapshot")
-                .trace()
-                .to_text(),
+            trace(&resumed),
             straight_trace,
-            "cut={cut}: fault trace diverged after resume"
+            "{name}/cut={cut}: fault trace diverged after resume"
         );
         assert_eq!(
             resumed.save(),
             straight_final,
-            "cut={cut}: final chaos snapshot bytes diverged"
+            "{name}/cut={cut}: final snapshot bytes diverged"
         );
+        if first_snap.is_empty() {
+            first_snap = snap;
+        }
+    }
+    (straight_trace, straight_report.to_json(), first_snap)
+}
+
+#[test]
+fn checkpoint_under_armed_faults_resumes_identically() {
+    let opts = quick_with_seed(42);
+    let build = || {
+        let mut sim = single_sim(&opts, Policy::HeteroCoordinated);
+        sim.set_fault_injector(FaultInjector::new(stormy_plan(7)));
+        sim
+    };
+    // Checkpoint at two different depths — with storms armed at 40% per
+    // step and storms lasting up to 8 epochs, at least one of these lands
+    // inside an active storm window.
+    let (trace, _, _) = resume_under_faults("chaos", &build, |total| {
+        [total / 3, 2 * total / 3]
+    });
+    assert!(
+        trace.contains("latency-storm"),
+        "plan must actually fire storms:\n{trace}"
+    );
+    assert!(
+        trace.contains("host-power-loss"),
+        "plan must actually pull the plug:\n{trace}"
+    );
+}
+
+/// 64-bit FNV-1a digest of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Per flush policy: FNV-1a digests of the persistence leg's snapshot at
+/// its first cut and of its straight run's report JSON. They pin each
+/// policy's write-behind semantics and the domain's snapshot encoding.
+const PERSIST_DIGESTS: [(FlushPolicy, u64, u64); 3] = [
+    (
+        FlushPolicy::Eager,
+        0x5d6b_fe3e_d505_2acf,
+        0x4adc_7b10_8346_29e7,
+    ),
+    (
+        FlushPolicy::EpochBatched,
+        0x1bfd_6bc9_ba0c_35b3,
+        0x0342_c406_7ba2_1d7c,
+    ),
+    (
+        FlushPolicy::OnEvict,
+        0x068c_64bc_4ed5_47bf,
+        0xa0ca_b440_70bd_f44f,
+    ),
+];
+
+#[test]
+fn persistence_leg_resumes_identically_under_power_loss() {
+    for (policy, snap_digest, report_digest) in PERSIST_DIGESTS {
+        let opts = quick_with_seed(42).with_persist(policy);
+        let build = || {
+            let mut sim = single_sim(&opts, Policy::HeteroCoordinated);
+            sim.set_fault_injector(FaultInjector::new(FaultPlan::power_loss(7, 0.05)));
+            sim
+        };
+        // The first cut lands while the first NVM fills are still aging
+        // (dirty and flushed frames side by side); the resumed runs then
+        // cross later power losses.
+        let name = policy.to_string();
+        let (trace, report, snap) =
+            resume_under_faults(&name, &build, |total| [total / 8, total / 2]);
+        assert!(
+            trace.contains("host-power-loss"),
+            "{policy}: plan must pull the plug:\n{trace}"
+        );
+        let at_cut = SingleVmSim::restore(&snap).expect("the cut's snapshot restores");
+        let dom = at_cut.persist_domain().expect("--persist arms the domain");
+        assert!(
+            dom.dirty_frames() > 0 || policy == FlushPolicy::Eager,
+            "{policy}: no dirty frames at the cut"
+        );
+        assert!(dom.flushed_frames() > 0, "{policy}: no flushed frames at the cut");
+        assert_eq!(fnv1a(&snap), snap_digest, "{policy}: snapshot digest moved");
+        assert_eq!(fnv1a(report.as_bytes()), report_digest, "{policy}: report digest moved");
     }
 }
 

@@ -22,9 +22,10 @@
 //! assumed to have left the cache hierarchy on its own — zero flush cost,
 //! but recently-written frames stay vulnerable).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
+
+use hetero_sim::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 
 /// Epoch interval at which [`FlushPolicy::EpochBatched`] drains the dirty
 /// set (the batch shares one `sfence`).
@@ -125,16 +126,19 @@ enum FrameState {
 /// use hetero_mem::persist::{FlushPolicy, PersistDomain};
 ///
 /// let mut d = PersistDomain::new(FlushPolicy::Eager);
-/// d.observe(7, true); // frame 7 written this epoch
-/// assert_eq!(d.dirty_frames(), 1);
-/// let flushed = d.end_epoch(0);
+/// // Epoch 0: frame 7 is resident and written.
+/// let flushed = d.sweep(0, [(7, true)]);
 /// assert_eq!(flushed, 1); // eager drains every epoch
+/// assert_eq!(d.dirty_frames(), 0);
 /// assert_eq!(d.survivors(true), vec![7]); // now survives power loss
 /// ```
 #[derive(Debug, Clone)]
 pub struct PersistDomain {
     policy: FlushPolicy,
-    states: BTreeMap<u64, FrameState>,
+    /// Tracked frames and their states, strictly ascending by frame.
+    states: Vec<(u64, FrameState)>,
+    /// Entries of `states` that are [`FrameState::Dirty`].
+    dirty: u64,
     /// Frames explicitly flushed (costed through the cost model).
     pub flushes: u64,
     /// `sfence` ordering points issued.
@@ -150,7 +154,8 @@ impl PersistDomain {
     pub fn new(policy: FlushPolicy) -> Self {
         PersistDomain {
             policy,
-            states: BTreeMap::new(),
+            states: Vec::new(),
+            dirty: 0,
             flushes: 0,
             fences: 0,
             evict_flushes: 0,
@@ -163,77 +168,78 @@ impl PersistDomain {
         self.policy
     }
 
-    /// Observes one resident NVM frame for this epoch. A frame seen for the
-    /// first time is dirty (its initial fill was a write); `written` marks a
-    /// (re)write this epoch, which re-opens the torn window even for a
-    /// previously flushed frame.
-    pub fn observe(&mut self, frame: u64, written: bool) {
-        match self.states.get_mut(&frame) {
-            None => {
-                self.states.insert(frame, FrameState::Dirty { clean_epochs: 0 });
-            }
-            Some(state) => {
-                if written {
-                    *state = FrameState::Dirty { clean_epochs: 0 };
-                } else if let FrameState::Dirty { clean_epochs } = state {
-                    *clean_epochs = clean_epochs.saturating_add(1);
-                }
-            }
-        }
-    }
-
-    /// A frame left the NVM tier (freed, or migrated away): its persistence
-    /// state dies with it.
-    pub fn retire(&mut self, frame: u64) {
-        self.states.remove(&frame);
-    }
-
-    /// Drops state for every frame not in the (ascending) resident set —
-    /// the bulk form of [`PersistDomain::retire`] the engine uses after
-    /// reclaim storms.
-    pub fn retain_resident(&mut self, resident: &[u64]) {
-        let keep: std::collections::BTreeSet<u64> = resident.iter().copied().collect();
-        self.states.retain(|f, _| keep.contains(f));
-    }
-
-    /// Ends an epoch: runs the write-behind policy and returns how many
+    /// Ends epoch `epoch` (the engine's epoch index, which the batched
+    /// policy drains on): merges `resident` — every frame present on the
+    /// NVM tier with whether it was written this epoch, in strictly
+    /// ascending frame order — against the tracked states in one pass,
+    /// runs the write-behind policy in the same pass, and returns how many
     /// frames were *explicitly* flushed (the caller charges
     /// [`crate::CostModel::flush_cost`] for exactly that count).
-    /// `epoch` is the engine's epoch index, used by the batched policy.
-    pub fn end_epoch(&mut self, epoch: u64) -> u64 {
-        match self.policy {
-            FlushPolicy::Off => 0,
-            FlushPolicy::Eager => self.drain_dirty(),
-            FlushPolicy::EpochBatched => {
-                if (epoch + 1).is_multiple_of(FLUSH_BATCH_EPOCHS) {
-                    self.drain_dirty()
-                } else {
-                    0
-                }
+    ///
+    /// * A frame seen for the first time enters dirty: its initial fill
+    ///   was a write.
+    /// * A tracked frame missing from `resident` left the tier (freed, or
+    ///   migrated away): its state dies with it, so it re-enters dirty if
+    ///   it comes back.
+    /// * A written frame is dirty again, which re-opens the torn window
+    ///   even for a previously flushed frame.
+    /// * An unwritten dirty frame ages one epoch; an unwritten flushed
+    ///   frame stays flushed.
+    ///
+    /// # Panics
+    ///
+    /// If `resident` is not strictly ascending.
+    pub fn sweep(&mut self, epoch: u64, resident: impl IntoIterator<Item = (u64, bool)>) -> u64 {
+        let drain = match self.policy {
+            FlushPolicy::Eager => true,
+            FlushPolicy::EpochBatched => (epoch + 1).is_multiple_of(FLUSH_BATCH_EPOCHS),
+            FlushPolicy::Off | FlushPolicy::OnEvict => false,
+        };
+        let age_out = self.policy == FlushPolicy::OnEvict;
+        // Merge into a fresh vector each epoch: a second buffer kept for
+        // reuse across epochs fragmented the heap and raised peak RSS.
+        let old = std::mem::take(&mut self.states);
+        self.states.reserve(old.len());
+        let (mut drained, mut aged, mut dirty) = (0, 0, 0);
+        let mut i = 0;
+        for (frame, written) in resident {
+            if let Some(&(last, _)) = self.states.last() {
+                assert!(
+                    last < frame,
+                    "sweep: frame {frame} after {last} is not ascending"
+                );
             }
-            FlushPolicy::OnEvict => {
-                let mut aged = 0;
-                for state in self.states.values_mut() {
-                    if matches!(state, FrameState::Dirty { clean_epochs } if *clean_epochs >= ON_EVICT_AGE)
-                    {
-                        *state = FrameState::Flushed;
-                        aged += 1;
+            while old.get(i).is_some_and(|&(f, _)| f < frame) {
+                i += 1;
+            }
+            let mut state = match old.get(i) {
+                Some(&(f, prior)) if f == frame => {
+                    i += 1;
+                    match prior {
+                        _ if written => FrameState::Dirty { clean_epochs: 0 },
+                        FrameState::Dirty { clean_epochs } => FrameState::Dirty {
+                            clean_epochs: clean_epochs.saturating_add(1),
+                        },
+                        FrameState::Flushed => FrameState::Flushed,
                     }
                 }
-                self.evict_flushes += aged;
-                0
+                _ => FrameState::Dirty { clean_epochs: 0 },
+            };
+            if let FrameState::Dirty { clean_epochs } = state {
+                if drain {
+                    state = FrameState::Flushed;
+                    drained += 1;
+                } else if age_out && clean_epochs >= ON_EVICT_AGE {
+                    state = FrameState::Flushed;
+                    aged += 1;
+                } else {
+                    dirty += 1;
+                }
             }
+            self.states.push((frame, state));
         }
-    }
-
-    fn drain_dirty(&mut self) -> u64 {
-        let mut drained = 0;
-        for state in self.states.values_mut() {
-            if matches!(state, FrameState::Dirty { .. }) {
-                *state = FrameState::Flushed;
-                drained += 1;
-            }
-        }
+        self.dirty = dirty;
+        self.evict_flushes += aged;
         if drained > 0 {
             self.flushes += drained;
             self.fences += 1;
@@ -243,18 +249,12 @@ impl PersistDomain {
 
     /// Frames currently dirty-in-cache.
     pub fn dirty_frames(&self) -> u64 {
-        self.states
-            .values()
-            .filter(|s| matches!(s, FrameState::Dirty { .. }))
-            .count() as u64
+        self.dirty
     }
 
     /// Frames currently flushed (durable).
     pub fn flushed_frames(&self) -> u64 {
-        self.states
-            .values()
-            .filter(|s| matches!(s, FrameState::Flushed))
-            .count() as u64
+        self.tracked() - self.dirty
     }
 
     /// Crash: returns the frames that survive, ascending. With
@@ -266,7 +266,7 @@ impl PersistDomain {
     /// it from the recovered residency.
     pub fn survivors(&mut self, torn_lost: bool) -> Vec<u64> {
         let mut out = Vec::new();
-        for (&frame, state) in &self.states {
+        for &(frame, state) in &self.states {
             match state {
                 FrameState::Flushed => out.push(frame),
                 FrameState::Dirty { .. } => {
@@ -279,6 +279,7 @@ impl PersistDomain {
             }
         }
         self.states.clear();
+        self.dirty = 0;
         out
     }
 
@@ -300,9 +301,42 @@ hetero_sim::impl_snap!(enum FrameState {
     1 => Flushed {},
 });
 
-hetero_sim::impl_snap!(struct PersistDomain {
-    policy, states, flushes, fences, evict_flushes, torn_discards
-});
+/// Wire format: the policy, `states` as a length and then its `(frame,
+/// state)` pairs — the same bytes a `BTreeMap<u64, FrameState>` encodes
+/// to — and the four counters. The dirty count is recomputed on decode,
+/// not stored. Decoding rejects frames that are not strictly ascending.
+impl Snap for PersistDomain {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.policy.snap(w);
+        self.states.snap(w);
+        self.flushes.snap(w);
+        self.fences.snap(w);
+        self.evict_flushes.snap(w);
+        self.torn_discards.snap(w);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let policy = FlushPolicy::unsnap(r)?;
+        let states = Vec::<(u64, FrameState)>::unsnap(r)?;
+        if states.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(SnapshotError::corrupt(
+                "persistence domain frames are not strictly ascending",
+            ));
+        }
+        let dirty = states
+            .iter()
+            .filter(|(_, s)| matches!(s, FrameState::Dirty { .. }))
+            .count() as u64;
+        Ok(PersistDomain {
+            policy,
+            states,
+            dirty,
+            flushes: u64::unsnap(r)?,
+            fences: u64::unsnap(r)?,
+            evict_flushes: u64::unsnap(r)?,
+            torn_discards: u64::unsnap(r)?,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -311,26 +345,20 @@ mod tests {
     #[test]
     fn first_sight_is_dirty_and_eager_flushes_every_epoch() {
         let mut d = PersistDomain::new(FlushPolicy::Eager);
-        d.observe(3, false);
-        d.observe(1, false);
-        assert_eq!(d.dirty_frames(), 2);
-        assert_eq!(d.end_epoch(0), 2);
+        assert_eq!(d.sweep(0, [(1, false), (3, false)]), 2);
         assert_eq!(d.flushed_frames(), 2);
         assert_eq!(d.fences, 1);
         // No new writes: nothing to flush, no fence.
-        d.observe(3, false);
-        d.observe(1, false);
-        assert_eq!(d.end_epoch(1), 0);
+        assert_eq!(d.sweep(1, [(1, false), (3, false)]), 0);
         assert_eq!(d.fences, 1);
     }
 
     #[test]
     fn rewrite_reopens_the_torn_window() {
-        let mut d = PersistDomain::new(FlushPolicy::Eager);
-        d.observe(5, true);
-        d.end_epoch(0);
+        let mut d = PersistDomain::new(FlushPolicy::EpochBatched);
+        assert_eq!(d.sweep(FLUSH_BATCH_EPOCHS - 1, [(5, true)]), 1);
         assert_eq!(d.flushed_frames(), 1);
-        d.observe(5, true);
+        d.sweep(FLUSH_BATCH_EPOCHS, [(5, true)]);
         assert_eq!(d.dirty_frames(), 1);
         assert_eq!(d.flushed_frames(), 0);
     }
@@ -338,24 +366,23 @@ mod tests {
     #[test]
     fn epoch_batched_drains_on_the_interval() {
         let mut d = PersistDomain::new(FlushPolicy::EpochBatched);
-        d.observe(9, true);
-        for e in 0..FLUSH_BATCH_EPOCHS - 1 {
-            assert_eq!(d.end_epoch(e), 0, "no drain before the interval");
+        assert_eq!(d.sweep(0, [(9, true)]), 0, "no drain before the interval");
+        for e in 1..FLUSH_BATCH_EPOCHS - 1 {
+            assert_eq!(d.sweep(e, [(9, false)]), 0, "no drain before the interval");
         }
-        assert_eq!(d.end_epoch(FLUSH_BATCH_EPOCHS - 1), 1);
+        assert_eq!(d.dirty_frames(), 1);
+        assert_eq!(d.sweep(FLUSH_BATCH_EPOCHS - 1, [(9, false)]), 1);
         assert_eq!(d.fences, 1);
     }
 
     #[test]
     fn on_evict_ages_clean_frames_to_durable_for_free() {
         let mut d = PersistDomain::new(FlushPolicy::OnEvict);
-        d.observe(2, true);
-        assert_eq!(d.end_epoch(0), 0);
+        assert_eq!(d.sweep(0, [(2, true)]), 0);
         // Two clean epochs age it out of the cache hierarchy.
-        d.observe(2, false);
-        assert_eq!(d.end_epoch(1), 0);
-        d.observe(2, false);
-        assert_eq!(d.end_epoch(2), 0);
+        assert_eq!(d.sweep(1, [(2, false)]), 0);
+        assert_eq!(d.dirty_frames(), 1);
+        assert_eq!(d.sweep(2, [(2, false)]), 0);
         assert_eq!(d.flushed_frames(), 1);
         assert_eq!(d.evict_flushes, 1);
         assert_eq!(d.flushes, 0, "aging is free");
@@ -363,36 +390,103 @@ mod tests {
 
     #[test]
     fn power_loss_tears_dirty_frames_only() {
-        let mut d = PersistDomain::new(FlushPolicy::Eager);
-        d.observe(1, true);
-        d.observe(2, true);
-        d.end_epoch(0);
-        d.observe(3, true); // dirty at crash time
+        let mut d = PersistDomain::new(FlushPolicy::EpochBatched);
+        d.sweep(FLUSH_BATCH_EPOCHS - 1, [(1, true), (2, true)]);
+        // Frame 3 arrives after the drain: dirty at crash time.
+        d.sweep(FLUSH_BATCH_EPOCHS, [(1, false), (2, false), (3, true)]);
         assert_eq!(d.survivors(true), vec![1, 2]);
         assert_eq!(d.torn_discards, 1);
         assert_eq!(d.tracked(), 0, "domain resets at crash");
+        assert_eq!(d.dirty_frames(), 0);
     }
 
     #[test]
     fn guest_crash_preserves_dirty_frames() {
         let mut d = PersistDomain::new(FlushPolicy::OnEvict);
-        d.observe(4, true);
-        d.observe(8, true);
+        d.sweep(0, [(4, true), (8, true)]);
         assert_eq!(d.survivors(false), vec![4, 8]);
         assert_eq!(d.torn_discards, 0);
     }
 
     #[test]
-    fn retire_and_retain_drop_state() {
+    fn absent_frames_retire() {
         let mut d = PersistDomain::new(FlushPolicy::Eager);
-        for f in [1, 2, 3, 4] {
-            d.observe(f, true);
-        }
-        d.retire(2);
-        assert_eq!(d.tracked(), 3);
-        d.retain_resident(&[1, 4]);
+        d.sweep(0, [1, 2, 3, 4].map(|f| (f, true)));
+        d.sweep(1, [(1, false), (4, false)]);
         assert_eq!(d.tracked(), 2);
         assert_eq!(d.survivors(false), vec![1, 4]);
+    }
+
+    #[test]
+    fn a_frame_that_leaves_and_returns_restarts_dirty() {
+        let mut d = PersistDomain::new(FlushPolicy::EpochBatched);
+        d.sweep(FLUSH_BATCH_EPOCHS - 1, [(6, true), (7, true)]);
+        assert_eq!(d.flushed_frames(), 2);
+        d.sweep(FLUSH_BATCH_EPOCHS, [(6, false)]);
+        d.sweep(FLUSH_BATCH_EPOCHS + 1, [(6, false), (7, false)]);
+        assert_eq!(d.dirty_frames(), 1, "frame 7 came back unwritten but dirty");
+        assert_eq!(d.survivors(true), vec![6]);
+    }
+
+    #[test]
+    fn an_unwritten_flushed_frame_stays_flushed() {
+        let mut d = PersistDomain::new(FlushPolicy::EpochBatched);
+        d.sweep(FLUSH_BATCH_EPOCHS - 1, [(5, true)]);
+        for e in FLUSH_BATCH_EPOCHS..2 * FLUSH_BATCH_EPOCHS {
+            assert_eq!(
+                d.sweep(e, [(5, false)]),
+                0,
+                "epoch {e}: nothing left to drain"
+            );
+            assert_eq!(d.flushed_frames(), 1);
+        }
+        assert_eq!(d.fences, 1);
+    }
+
+    /// A domain's bytes with the given frames, each flushed.
+    fn encoded(frames: &[u64]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        FlushPolicy::Eager.snap(&mut w);
+        w.put_usize(frames.len());
+        for &f in frames {
+            f.snap(&mut w);
+            FrameState::Flushed.snap(&mut w);
+        }
+        for counter in [3, 1, 0, 0] {
+            w.put_u64(counter);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn decode_round_trips_and_rejects_unordered_frames() {
+        let mut d = PersistDomain::new(FlushPolicy::OnEvict);
+        d.sweep(0, [(1, true), (2, true)]);
+        d.sweep(1, [(1, false), (2, true), (9, true)]);
+        d.sweep(2, [(1, false), (2, false), (9, false)]);
+        let mut w = SnapWriter::new();
+        d.snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        let back = PersistDomain::unsnap(&mut r).expect("a swept domain decodes");
+        r.finish().expect("no trailing bytes");
+        assert_eq!((back.dirty_frames(), back.flushed_frames()), (2, 1));
+        assert_eq!(back.evict_flushes, d.evict_flushes);
+
+        assert!(PersistDomain::unsnap(&mut SnapReader::new(&encoded(&[2, 5]))).is_ok());
+        for frames in [[5, 5], [5, 2]] {
+            let bytes = encoded(&frames);
+            let err = PersistDomain::unsnap(&mut SnapReader::new(&bytes)).err();
+            assert!(
+                matches!(err, Some(SnapshotError::Corrupt(_))),
+                "{frames:?}: {err:?}"
+            );
+        }
+        // A length prefix far beyond the bytes present fails without
+        // reserving memory for it.
+        let mut inflated = encoded(&[2]);
+        inflated[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(PersistDomain::unsnap(&mut SnapReader::new(&inflated)).is_err());
     }
 
     #[test]
