@@ -895,7 +895,7 @@ impl<W: Workload> SingleVmSim<W> {
                 if !p.is_present() {
                     continue;
                 }
-                match (p.page_type, p.rmap) {
+                match (p.page_type, mm.rmap(Gfn(f))) {
                     (PageType::HeapAnon, RMap::Anon(_)) => heap.push((p.heat, p.write_heat)),
                     (PageType::PageCache, RMap::File(file, off)) if file == CACHE_FILE.0 => {
                         cache.push((off, p.heat));

@@ -6,18 +6,19 @@
 //! `debug_assert!`s:
 //!
 //! * **guest-local** ([`audit_kernel`]): per-tier frame conservation
-//!   (resident + free = total), exact LRU membership (flag ↔ list, walk ↔
-//!   count, class ↔ page type), balloon pinning, and page-cache index
-//!   consistency,
+//!   (resident + free = total), balloon pinning, exact LRU membership
+//!   ([`audit_lru`]: flag ↔ list, walk ↔ count, class ↔ page type), and
+//!   page-cache index consistency ([`audit_page_cache`]),
 //! * **cross-layer** ([`audit_vmm`]): the VMM's fair-share ledger vs. its
 //!   per-guest machine-frame backing vs. the machine's free counts, and the
 //!   guest kernels' own view of how many frames they hold.
 
-use std::collections::HashSet;
 use std::fmt;
 
-use hetero_guest::lru::LruClass;
+use hetero_guest::lru::{LruClass, LruRegistry};
+use hetero_guest::memmap::MemMap;
 use hetero_guest::page::{Gfn, PageFlags, PageType};
+use hetero_guest::pagecache::PageCache;
 use hetero_guest::GuestKernel;
 use hetero_mem::MemKind;
 use hetero_vmm::drf::GuestId;
@@ -46,13 +47,14 @@ pub enum Violation {
         /// Pages whose memmap flags say they are listed.
         flagged: u64,
     },
-    /// Walking the LRU lists did not visit exactly the listed pages.
+    /// Walking one LRU list did not visit exactly its recorded number of
+    /// pages (a broken link ends it early; a cycle runs one page past).
     LruWalk {
-        /// Tier checked.
+        /// Tier of the list.
         kind: MemKind,
-        /// Pages reached by walking every list.
+        /// Pages reached by walking the list, at most `listed + 1`.
         walked: u64,
-        /// Pages the registry says are listed.
+        /// Pages the list records.
         listed: u64,
     },
     /// A walked LRU page sits on the wrong list for its type/tier.
@@ -429,12 +431,12 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Audits one guest kernel's internal frame accounting. Returns every
-/// violation found (empty = healthy).
+/// Audits one guest kernel's internal frame accounting: per-tier frame
+/// conservation and balloon pinning, then [`audit_lru`] and
+/// [`audit_page_cache`]. Returns every violation found (empty = healthy).
 pub fn audit_kernel(kernel: &GuestKernel) -> Vec<Violation> {
     let mut out = Vec::new();
     let mm = kernel.memmap();
-    let lru = kernel.lru();
     for &kind in MemKind::ALL.iter() {
         let total = kernel.total_frames(kind);
         if total == 0 {
@@ -451,19 +453,45 @@ pub fn audit_kernel(kernel: &GuestKernel) -> Vec<Violation> {
                 total,
             });
         }
-        // LRU flag exactness.
-        let range = mm.range(kind);
-        let mut flagged = 0u64;
-        let mut ballooned_flagged = 0u64;
-        for gfn in range.clone().map(Gfn) {
-            let page = mm.page(gfn);
-            if page.flags.contains(PageFlags::LRU) {
-                flagged += 1;
-            }
-            if page.flags.contains(PageFlags::BALLOONED) {
-                ballooned_flagged += 1;
-            }
+        // Balloon pinning: flags and ledger agree.
+        let flagged = count_flagged(mm, kind, PageFlags::BALLOONED);
+        let tracked = kernel.ballooned_pages(kind);
+        if flagged != tracked {
+            out.push(Violation::BalloonAccounting {
+                kind,
+                flagged,
+                tracked,
+            });
         }
+    }
+    audit_lru(mm, kernel.lru(), &mut out);
+    audit_page_cache(mm, kernel.page_cache(), &mut out);
+    out
+}
+
+/// Frames of `kind`'s range with every bit of `flag` set.
+fn count_flagged(mm: &MemMap, kind: MemKind, flag: PageFlags) -> u64 {
+    mm.iter_kind(kind)
+        .map(|gfn| mm.page(gfn).flags.contains(flag) as u64)
+        .sum()
+}
+
+/// Audits LRU membership tier by tier and appends a violation for each
+/// disagreement:
+///
+/// - [`Violation::LruMembership`] — the registry lists a different number
+///   of pages than the memmap flags `LRU`.
+/// - [`Violation::LruWalk`] — walking a list reaches a different number
+///   of pages than it records. Each walk stops one page past the recorded
+///   length, so a cyclic list is reported instead of hanging the audit.
+/// - [`Violation::LruClassMismatch`] — a walked page's type or tier does
+///   not belong on the list it was reached from.
+pub fn audit_lru(mm: &MemMap, lru: &LruRegistry, out: &mut Vec<Violation>) {
+    for &kind in MemKind::ALL.iter() {
+        if mm.range(kind).is_empty() {
+            continue;
+        }
+        let flagged = count_flagged(mm, kind, PageFlags::LRU);
         let listed = lru.listed_on(kind);
         if listed != flagged {
             out.push(Violation::LruMembership {
@@ -472,52 +500,57 @@ pub fn audit_kernel(kernel: &GuestKernel) -> Vec<Violation> {
                 flagged,
             });
         }
-        // Walking every list reaches every member exactly once, and each
-        // walked page sits on the list its type and tier dictate.
-        let mut walked = 0u64;
         for class in [LruClass::Anon, LruClass::File] {
             let split = lru.split(kind, class);
-            for gfn in split.active.iter(mm).chain(split.inactive.iter(mm)) {
-                walked += 1;
-                let page = mm.page(gfn);
-                if LruClass::of(page.page_type) != Some(class) || page.kind != kind {
-                    out.push(Violation::LruClassMismatch {
-                        gfn,
-                        page_type: page.page_type,
+            for list in [&split.active, &split.inactive] {
+                let mut walked = 0u64;
+                for gfn in list.iter(mm) {
+                    walked += 1;
+                    let page = mm.page(gfn);
+                    if LruClass::of(page.page_type) != Some(class) || page.kind != kind {
+                        out.push(Violation::LruClassMismatch {
+                            gfn,
+                            page_type: page.page_type,
+                        });
+                    }
+                }
+                if walked != list.len() {
+                    out.push(Violation::LruWalk {
+                        kind,
+                        walked,
+                        listed: list.len(),
                     });
                 }
             }
         }
-        if walked != listed {
-            out.push(Violation::LruWalk {
-                kind,
-                walked,
-                listed,
-            });
-        }
-        // Balloon pinning: flags and ledger agree.
-        let tracked = kernel.ballooned_pages(kind);
-        if ballooned_flagged != tracked {
-            out.push(Violation::BalloonAccounting {
-                kind,
-                flagged: ballooned_flagged,
-                tracked,
-            });
-        }
     }
-    // Page-cache index: every entry names a distinct resident file page.
-    let mut seen = HashSet::new();
-    for (_file, _offset, gfn) in kernel.page_cache().iter() {
-        if !seen.insert(gfn) {
+}
+
+/// Audits the page-cache index against the memmap: every entry must name
+/// a frame no other entry names ([`Violation::PageCacheDuplicate`], found
+/// with a per-frame bitmap) that holds a resident file page
+/// ([`Violation::PageCacheEntry`]; an entry past the memmap reads as not
+/// present).
+pub fn audit_page_cache(mm: &MemMap, cache: &PageCache, out: &mut Vec<Violation>) {
+    let frames = mm.total_frames();
+    let mut seen = vec![0u64; frames.div_ceil(64) as usize];
+    for (_file, _offset, gfn) in cache.iter() {
+        if gfn.0 >= frames {
+            out.push(Violation::PageCacheEntry {
+                gfn,
+                page_type: None,
+            });
+            continue;
+        }
+        let (word, bit) = (gfn.index() / 64, 1u64 << (gfn.0 % 64));
+        if seen[word] & bit != 0 {
             out.push(Violation::PageCacheDuplicate { gfn });
             continue;
         }
+        seen[word] |= bit;
         let page = mm.page(gfn);
         let file_backed = page.is_present()
-            && matches!(
-                page.page_type,
-                PageType::PageCache | PageType::BufferCache
-            );
+            && matches!(page.page_type, PageType::PageCache | PageType::BufferCache);
         if !file_backed {
             out.push(Violation::PageCacheEntry {
                 gfn,
@@ -525,7 +558,6 @@ pub fn audit_kernel(kernel: &GuestKernel) -> Vec<Violation> {
             });
         }
     }
-    out
 }
 
 /// Audits the VMM's ledgers against the machine and (when provided) the
@@ -641,6 +673,137 @@ mod tests {
         assert_eq!(audit_kernel(&k), Vec::new());
         k.balloon_deflate(MemKind::Slow, 16);
         assert_eq!(audit_kernel(&k), Vec::new());
+    }
+
+    /// Three heap pages on FastMem's active anon list (MRU first: 2, 1,
+    /// 0) and two page-cache pages on SlowMem's inactive file list, each
+    /// indexed by the page cache.
+    fn listed() -> (MemMap, LruRegistry, PageCache) {
+        let mut mm = MemMap::new(&[(MemKind::Fast, 8), (MemKind::Slow, 8)]);
+        let mut lru = LruRegistry::new();
+        let mut cache = PageCache::new();
+        for g in 0..3 {
+            mm.set_allocated(Gfn(g), PageType::HeapAnon, 100);
+            lru.insert_active(&mut mm, Gfn(g));
+        }
+        for (off, g) in [(0, 8), (1, 9)] {
+            mm.set_allocated(Gfn(g), PageType::PageCache, 10);
+            lru.insert_inactive(&mut mm, Gfn(g));
+            cache.insert(FileId(1), off, Gfn(g));
+        }
+        (mm, lru, cache)
+    }
+
+    fn lru_violations(mm: &MemMap, lru: &LruRegistry) -> Vec<Violation> {
+        let mut out = Vec::new();
+        audit_lru(mm, lru, &mut out);
+        out
+    }
+
+    fn cache_violations(mm: &MemMap, cache: &PageCache) -> Vec<Violation> {
+        let mut out = Vec::new();
+        audit_page_cache(mm, cache, &mut out);
+        out
+    }
+
+    #[test]
+    fn healthy_lru_and_page_cache_are_clean() {
+        let (mm, lru, cache) = listed();
+        assert_eq!(lru_violations(&mm, &lru), Vec::new());
+        assert_eq!(cache_violations(&mm, &cache), Vec::new());
+    }
+
+    #[test]
+    fn lru_flag_without_membership_is_caught() {
+        let (mut mm, lru, _) = listed();
+        mm.set_allocated(Gfn(5), PageType::HeapAnon, 1);
+        mm.page_mut(Gfn(5)).flags.insert(PageFlags::LRU);
+        assert_eq!(
+            lru_violations(&mm, &lru),
+            vec![Violation::LruMembership {
+                kind: MemKind::Fast,
+                listed: 3,
+                flagged: 4,
+            }]
+        );
+    }
+
+    /// A cyclic list must not hang the walk: it ends one page past the
+    /// list's recorded length and reports the overrun.
+    #[test]
+    fn cyclic_lru_list_is_reported_not_walked_forever() {
+        let (mut mm, lru, _) = listed();
+        mm.page_mut(Gfn(0)).set_lru_next(Some(Gfn(2)));
+        assert_eq!(
+            lru_violations(&mm, &lru),
+            vec![Violation::LruWalk {
+                kind: MemKind::Fast,
+                walked: 4,
+                listed: 3,
+            }]
+        );
+    }
+
+    #[test]
+    fn broken_lru_link_is_caught() {
+        let (mut mm, lru, _) = listed();
+        mm.page_mut(Gfn(1)).set_lru_next(None);
+        assert_eq!(
+            lru_violations(&mm, &lru),
+            vec![Violation::LruWalk {
+                kind: MemKind::Fast,
+                walked: 2,
+                listed: 3,
+            }]
+        );
+    }
+
+    #[test]
+    fn page_on_the_wrong_lru_list_is_caught() {
+        let (mut mm, lru, _) = listed();
+        mm.page_mut(Gfn(1)).page_type = PageType::BufferCache;
+        assert_eq!(
+            lru_violations(&mm, &lru),
+            vec![Violation::LruClassMismatch {
+                gfn: Gfn(1),
+                page_type: PageType::BufferCache,
+            }]
+        );
+    }
+
+    #[test]
+    fn doubly_indexed_frame_is_caught() {
+        let (mm, _, mut cache) = listed();
+        cache.insert(FileId(2), 0, Gfn(8));
+        assert_eq!(
+            cache_violations(&mm, &cache),
+            vec![Violation::PageCacheDuplicate { gfn: Gfn(8) }]
+        );
+    }
+
+    #[test]
+    fn page_cache_entries_must_name_resident_file_pages() {
+        let (mm, _, mut cache) = listed();
+        cache.insert(FileId(2), 0, Gfn(0)); // a heap page
+        cache.insert(FileId(2), 1, Gfn(12)); // a free frame
+        cache.insert(FileId(2), 2, Gfn(16)); // past the memmap
+        assert_eq!(
+            cache_violations(&mm, &cache),
+            vec![
+                Violation::PageCacheEntry {
+                    gfn: Gfn(0),
+                    page_type: Some(PageType::HeapAnon),
+                },
+                Violation::PageCacheEntry {
+                    gfn: Gfn(12),
+                    page_type: None,
+                },
+                Violation::PageCacheEntry {
+                    gfn: Gfn(16),
+                    page_type: None,
+                },
+            ]
+        );
     }
 
     #[test]

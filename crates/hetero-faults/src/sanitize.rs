@@ -18,6 +18,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use hetero_guest::kernel::SlabClass;
+use hetero_guest::memmap::MemMap;
 use hetero_guest::page::PageType;
 use hetero_guest::GuestKernel;
 use hetero_mem::kind::KindMap;
@@ -99,12 +100,11 @@ pub struct EpochCosts<'a> {
     pub counters: &'a [(&'static str, u64)],
 }
 
-/// The layered sanitizer. Holds per-run state (previous counter values,
-/// shadow-model scratch) so checks that compare across epochs work.
+/// The layered sanitizer. Holds per-run state (previous counter values)
+/// so checks that compare across epochs work.
 #[derive(Debug, Default)]
 pub struct Sanitizer {
     level: AuditLevel,
-    shadow: ShadowModel,
     prev_counters: Vec<(&'static str, u64)>,
     prev_attributed: Option<(u64, u64)>,
 }
@@ -153,7 +153,7 @@ impl Sanitizer {
             audit_tracker(kernel, tracker, &mut out);
         }
         self.check_costs(costs, &mut out);
-        self.shadow.audit(kernel, &mut out);
+        ShadowModel::new().audit(kernel, &mut out);
         out
     }
 
@@ -311,7 +311,11 @@ pub fn audit_residency(kernel: &GuestKernel, out: &mut Vec<Violation>) {
 /// the ledger's incremental counts. A no-op when the ledger was never
 /// configured (engines that run no guest LRU leave it inert).
 pub fn audit_cold_ledger(kernel: &GuestKernel, out: &mut Vec<Violation>) {
-    let mm = kernel.memmap();
+    cold_ledger_drift(kernel.memmap(), out);
+}
+
+/// [`audit_cold_ledger`] over the memmap alone.
+fn cold_ledger_drift(mm: &MemMap, out: &mut Vec<Violation>) {
     if mm.cold_ledger().threshold().is_none() {
         return;
     }
@@ -464,26 +468,7 @@ hetero_sim::impl_snap!(enum AuditLevel {
     2 => Paranoid {},
 });
 
-impl hetero_sim::snap::Snap for Sanitizer {
-    fn snap(&self, w: &mut hetero_sim::snap::SnapWriter) {
-        self.level.snap(w);
-        // `shadow` is rebuilt from scratch on every audit pass; snapshotting
-        // it would only duplicate kernel state that is already captured.
-        self.prev_counters.snap(w);
-        self.prev_attributed.snap(w);
-    }
-    fn unsnap(
-        r: &mut hetero_sim::snap::SnapReader<'_>,
-    ) -> Result<Self, hetero_sim::snap::SnapshotError> {
-        use hetero_sim::snap::Snap;
-        Ok(Sanitizer {
-            level: Snap::unsnap(r)?,
-            shadow: ShadowModel::default(),
-            prev_counters: Snap::unsnap(r)?,
-            prev_attributed: Snap::unsnap(r)?,
-        })
-    }
-}
+hetero_sim::impl_snap!(struct Sanitizer { level, prev_counters, prev_attributed });
 
 #[cfg(test)]
 mod tests {
@@ -548,6 +533,30 @@ mod tests {
         let mut out = Vec::new();
         audit_cold_ledger(&plain, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn active_flag_flipped_behind_the_ledger_is_caught() {
+        use hetero_guest::page::{Gfn, PageFlags};
+        let mut mm = MemMap::new(&[(MemKind::Fast, 8), (MemKind::Slow, 8)]);
+        mm.configure_cold_ledger(48);
+        mm.set_allocated(Gfn(9), PageType::HeapAnon, 10);
+        mm.set_active(Gfn(9), true);
+        mm.set_allocated(Gfn(1), PageType::HeapAnon, 10);
+        let mut out = Vec::new();
+        cold_ledger_drift(&mm, &mut out);
+        assert!(out.is_empty(), "unexpected drift: {out:?}");
+        // Activating a cold page through `page_mut` skips the ledger.
+        mm.page_mut(Gfn(1)).flags.insert(PageFlags::ACTIVE);
+        cold_ledger_drift(&mm, &mut out);
+        assert_eq!(
+            out,
+            vec![Violation::ColdLedgerDrift {
+                kind: MemKind::Fast,
+                tracked: 0,
+                walked: 1,
+            }]
+        );
     }
 
     #[test]

@@ -11,15 +11,14 @@
 //!
 //! The shadow model is the differential oracle for that state: it rebuilds
 //! the same totals the *slow, obvious* way — one full walk over every page
-//! descriptor, aggregating into plain maps, no caching, no increments —
-//! and demands exact agreement. It shares no code with the incremental
-//! paths it checks; a bug must hit both implementations identically to
-//! slip through.
+//! descriptor, summing into a fresh fixed array of `(type, tier)`
+//! buckets, no caching, no increments carried between audits — and
+//! demands exact agreement. It shares no code with the incremental paths
+//! it checks; a bug must hit both implementations identically to slip
+//! through.
 //!
 //! The walk is read-only and draws nothing from the RNG or the simulated
 //! clock, so running it cannot perturb the simulation it audits.
-
-use std::collections::BTreeMap;
 
 use hetero_guest::memmap::MemMap;
 use hetero_guest::page::PageType;
@@ -37,23 +36,20 @@ struct Bucket {
     write_heat: u64,
 }
 
-/// The shadow recount. Holds its aggregation map across audits so the
-/// (deliberate) allocation cost is paid once, not per epoch.
+/// The shadow recount. Stateless: every audit starts from empty buckets.
 #[derive(Debug, Default)]
-pub struct ShadowModel {
-    buckets: BTreeMap<(usize, MemKind), Bucket>,
-}
+pub struct ShadowModel;
 
 impl ShadowModel {
     /// Builds an empty shadow model.
     pub fn new() -> Self {
-        ShadowModel::default()
+        ShadowModel
     }
 
     /// Recounts one guest kernel: walks its memmap and checks the
     /// allocator's free totals (buddy + per-CPU caches) along the way.
     /// See [`ShadowModel::audit_memmap`] for the violations produced.
-    pub fn audit(&mut self, kernel: &GuestKernel, out: &mut Vec<Violation>) {
+    pub fn audit(&self, kernel: &GuestKernel, out: &mut Vec<Violation>) {
         let free = KindMap::from_fn(|k| kernel.free_frames(k));
         self.audit_memmap(kernel.memmap(), &free, out);
     }
@@ -65,13 +61,8 @@ impl ShadowModel {
     ///   counter (pages, heat, or write heat) differs from the recount.
     /// - [`Violation::FreeFrameDrift`] — a tier's claimed free total
     ///   (`free`) differs from its non-present frames.
-    pub fn audit_memmap(
-        &mut self,
-        mm: &MemMap,
-        free: &KindMap<u64>,
-        out: &mut Vec<Violation>,
-    ) {
-        self.buckets.clear();
+    pub fn audit_memmap(&self, mm: &MemMap, free: &KindMap<u64>, out: &mut Vec<Violation>) {
+        let mut buckets = [KindMap::<Bucket>::default(); PageType::COUNT];
         let mut present: KindMap<u64> = KindMap::default();
         for &kind in MemKind::ALL.iter() {
             for gfn in mm.iter_kind(kind) {
@@ -80,10 +71,7 @@ impl ShadowModel {
                     continue;
                 }
                 present[kind] += 1;
-                let bucket = self
-                    .buckets
-                    .entry((page.page_type.index(), kind))
-                    .or_default();
+                let bucket = &mut buckets[page.page_type.index()][kind];
                 bucket.pages += 1;
                 bucket.heat += page.heat as u64;
                 bucket.write_heat += page.write_heat as u64;
@@ -95,11 +83,7 @@ impl ShadowModel {
                 continue;
             }
             for &page_type in PageType::ALL.iter() {
-                let walked = self
-                    .buckets
-                    .get(&(page_type.index(), kind))
-                    .copied()
-                    .unwrap_or_default();
+                let walked = buckets[page_type.index()][kind];
                 let tracked = mm.residency(page_type, kind);
                 for (field, tracked, walked) in [
                     ("pages", tracked.pages, walked.pages),
@@ -148,7 +132,7 @@ mod tests {
     #[test]
     fn fresh_kernel_recounts_clean() {
         let k = kernel();
-        let mut shadow = ShadowModel::new();
+        let shadow = ShadowModel::new();
         let mut out = Vec::new();
         shadow.audit(&k, &mut out);
         assert!(out.is_empty(), "unexpected drift: {out:?}");
@@ -170,7 +154,7 @@ mod tests {
             k.io_complete(g);
         }
         k.balloon_inflate(MemKind::Slow, 8);
-        let mut shadow = ShadowModel::new();
+        let shadow = ShadowModel::new();
         let mut out = Vec::new();
         shadow.audit(&k, &mut out);
         assert!(out.is_empty(), "unexpected drift: {out:?}");
@@ -189,7 +173,7 @@ mod tests {
             MemKind::Fast => 15,
             _ => mm.range(k).end.saturating_sub(mm.range(k).start),
         });
-        let mut shadow = ShadowModel::new();
+        let shadow = ShadowModel::new();
         let mut out = Vec::new();
         shadow.audit_memmap(&mm, &free, &mut out);
         assert_eq!(
@@ -204,12 +188,64 @@ mod tests {
         );
     }
 
+    /// Several types on two tiers, so a transposed `(type, tier)` bucket
+    /// index shows as drift: retyping one zero-heat page must move
+    /// exactly one page between exactly the two right buckets.
+    #[test]
+    fn retyped_page_drifts_exactly_its_two_buckets() {
+        let mut mm = MemMap::new(&[(MemKind::Fast, 8), (MemKind::Slow, 16)]);
+        let pages = [
+            (0, PageType::HeapAnon, 100),
+            (1, PageType::Slab, 50),
+            (2, PageType::PageCache, 7),
+            (8, PageType::HeapAnon, 3),
+            (9, PageType::NetBuf, 30),
+            (10, PageType::BufferCache, 0),
+            (11, PageType::Dma, 0),
+        ];
+        for (g, t, heat) in pages {
+            mm.set_allocated(Gfn(g), t, heat);
+        }
+        mm.set_write_heat(Gfn(8), 9);
+        let free = KindMap::from_fn(|k| match k {
+            MemKind::Fast => 5,
+            MemKind::Medium => 0,
+            MemKind::Slow => 12,
+        });
+        let shadow = ShadowModel::new();
+        let mut out = Vec::new();
+        shadow.audit_memmap(&mm, &free, &mut out);
+        assert!(out.is_empty(), "unexpected drift: {out:?}");
+
+        mm.page_mut(Gfn(10)).page_type = PageType::PageTable; // bypasses residency
+        shadow.audit_memmap(&mm, &free, &mut out);
+        assert_eq!(
+            out,
+            vec![
+                Violation::ResidencyDrift {
+                    page_type: PageType::BufferCache,
+                    kind: MemKind::Slow,
+                    field: "pages",
+                    tracked: 1,
+                    walked: 0,
+                },
+                Violation::ResidencyDrift {
+                    page_type: PageType::PageTable,
+                    kind: MemKind::Slow,
+                    field: "pages",
+                    tracked: 0,
+                    walked: 1,
+                },
+            ]
+        );
+    }
+
     #[test]
     fn free_frame_drift_is_caught() {
         let mm = MemMap::new(&[(MemKind::Fast, 16)]);
         // Claim one frame fewer free than the walk will find.
         let free = KindMap::from_fn(|k| if k == MemKind::Fast { 15 } else { 0 });
-        let mut shadow = ShadowModel::new();
+        let shadow = ShadowModel::new();
         let mut out = Vec::new();
         shadow.audit_memmap(&mm, &free, &mut out);
         assert_eq!(

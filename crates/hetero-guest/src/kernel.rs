@@ -396,7 +396,7 @@ impl GuestKernel {
     /// Panics if the page is not allocated.
     pub fn free_page(&mut self, gfn: Gfn) {
         self.lru.remove(&mut self.mm, gfn);
-        match self.mm.page(gfn).rmap {
+        match self.mm.rmap(gfn) {
             RMap::Anon(vpn) => {
                 self.pt.unmap(vpn);
             }
@@ -703,7 +703,7 @@ impl GuestKernel {
     pub fn drop_cache_page(&mut self, file: FileId, offset_page: u64) -> bool {
         match self.cache.remove(file, offset_page) {
             Some(gfn) => {
-                self.mm.page_mut(gfn).rmap = RMap::None;
+                self.mm.set_rmap(gfn, RMap::None);
                 self.free_page(gfn);
                 true
             }
@@ -732,7 +732,7 @@ impl GuestKernel {
         for gfn in pages {
             // remove_file already unindexed them; clear rmap so free_page
             // does not double-remove.
-            self.mm.page_mut(gfn).rmap = RMap::None;
+            self.mm.set_rmap(gfn, RMap::None);
             self.free_page(gfn);
         }
         n
@@ -953,13 +953,13 @@ impl GuestKernel {
     pub fn migrate_page(&mut self, gfn: Gfn, target: MemKind) -> Result<Gfn, MigrateError> {
         self.can_migrate(gfn, target)?;
         let new = self.raw_alloc(target).ok_or(MigrateError::TargetFull)?;
-        let (page_type, heat, write_heat, rmap, was_active, was_dirty) = {
+        let rmap = self.mm.rmap(gfn);
+        let (page_type, heat, write_heat, was_active, was_dirty) = {
             let p = self.mm.page(gfn);
             (
                 p.page_type,
                 p.heat,
                 p.write_heat,
-                p.rmap,
                 p.flags.contains(PageFlags::ACTIVE),
                 p.flags.contains(PageFlags::DIRTY),
             )
@@ -971,7 +971,7 @@ impl GuestKernel {
         if was_dirty {
             self.mm.page_mut(new).flags.insert(PageFlags::DIRTY);
         }
-        self.mm.page_mut(new).rmap = rmap;
+        self.mm.set_rmap(new, rmap);
         match rmap {
             RMap::Anon(vpn) => {
                 self.pt.remap(vpn, new);
@@ -994,7 +994,7 @@ impl GuestKernel {
         }
         // Free the old page without touching the (already rewired) rmap.
         self.lru.remove(&mut self.mm, gfn);
-        self.mm.page_mut(gfn).rmap = RMap::None;
+        self.mm.set_rmap(gfn, RMap::None);
         self.mm.set_free(gfn);
         self.raw_free(gfn);
         self.migrations += 1;
@@ -1265,7 +1265,7 @@ impl GuestKernel {
         if !page.is_present() || page.page_type != PageType::HeapAnon {
             return false;
         }
-        let RMap::Anon(vpn) = page.rmap else {
+        let RMap::Anon(vpn) = self.mm.rmap(gfn) else {
             return false;
         };
         if self.swap.contains(vpn) {
@@ -1290,7 +1290,7 @@ impl GuestKernel {
         match self.alloc_page(PageType::HeapAnon, entry.heat, preference) {
             Ok((gfn, _)) => {
                 self.pt.map(vpn, gfn);
-                self.mm.page_mut(gfn).rmap = RMap::Anon(vpn);
+                self.mm.set_rmap(gfn, RMap::Anon(vpn));
                 if entry.write_heat > 0 {
                     self.mm.set_write_heat(gfn, entry.write_heat);
                 }

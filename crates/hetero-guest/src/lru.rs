@@ -75,11 +75,11 @@ impl LruList {
                 "{gfn} is already on an LRU list"
             );
             p.flags.insert(PageFlags::LRU);
-            p.lru_prev = None;
-            p.lru_next = self.head;
+            p.set_lru_prev(None);
+            p.set_lru_next(self.head);
         }
         if let Some(old_head) = self.head {
-            mm.page_mut(old_head).lru_prev = Some(gfn);
+            mm.page_mut(old_head).set_lru_prev(Some(gfn));
         }
         self.head = Some(gfn);
         if self.tail.is_none() {
@@ -99,17 +99,17 @@ impl LruList {
             let p = mm.page_mut(gfn);
             assert!(p.flags.contains(PageFlags::LRU), "{gfn} is not on an LRU");
             p.flags.remove(PageFlags::LRU);
-            let links = (p.lru_prev, p.lru_next);
-            p.lru_prev = None;
-            p.lru_next = None;
+            let links = (p.lru_prev(), p.lru_next());
+            p.set_lru_prev(None);
+            p.set_lru_next(None);
             links
         };
         match prev {
-            Some(p) => mm.page_mut(p).lru_next = next,
+            Some(p) => mm.page_mut(p).set_lru_next(next),
             None => self.head = next,
         }
         match next {
-            Some(n) => mm.page_mut(n).lru_prev = prev,
+            Some(n) => mm.page_mut(n).set_lru_prev(prev),
             None => self.tail = prev,
         }
         self.len -= 1;
@@ -120,16 +120,16 @@ impl LruList {
         self.head
     }
 
-    /// Completes a head-insert whose descriptor half (`LRU` flag,
-    /// `lru_prev = None`, `lru_next` = this list's head) was pre-written
+    /// Completes a head-insert whose descriptor half (`LRU` flag, no
+    /// previous link, this list's head as the next link) was pre-written
     /// by [`MemMap::set_allocated_linked`] — the bulk allocators' fused
     /// equivalent of [`LruList::push_front`].
     pub fn push_front_prelinked(&mut self, mm: &mut MemMap, gfn: Gfn) {
         debug_assert!(mm.page(gfn).flags.contains(PageFlags::LRU));
-        debug_assert_eq!(mm.page(gfn).lru_prev, None);
-        debug_assert_eq!(mm.page(gfn).lru_next, self.head);
+        debug_assert_eq!(mm.page(gfn).lru_prev(), None);
+        debug_assert_eq!(mm.page(gfn).lru_next(), self.head);
         if let Some(old_head) = self.head {
-            mm.page_mut(old_head).lru_prev = Some(gfn);
+            mm.page_mut(old_head).set_lru_prev(Some(gfn));
         }
         self.head = Some(gfn);
         if self.tail.is_none() {
@@ -150,9 +150,14 @@ impl LruList {
         self.tail
     }
 
-    /// Iterates from MRU to LRU (for diagnostics/tests).
+    /// Iterates from MRU to LRU (for audits, diagnostics and tests).
+    ///
+    /// Stops after [`LruList::len`]` + 1` pages, so a corrupt list that
+    /// cycles still ends, one page past its recorded length — which is how
+    /// the auditor tells a cycle from a healthy list.
     pub fn iter<'a>(&'a self, mm: &'a MemMap) -> impl Iterator<Item = Gfn> + 'a {
-        std::iter::successors(self.head, move |&g| mm.page(g).lru_next)
+        std::iter::successors(self.head, move |&g| mm.page(g).lru_next())
+            .take(self.len as usize + 1)
     }
 }
 
@@ -454,6 +459,22 @@ mod tests {
         assert_eq!(list.pop_back(&mut mm), Some(c));
         assert_eq!(list.pop_back(&mut mm), None);
         assert!(list.is_empty());
+    }
+
+    #[test]
+    fn iter_stops_one_page_past_a_cycle() {
+        let (mut mm, _) = setup();
+        let mut list = LruList::default();
+        let pages: Vec<Gfn> = (0..3)
+            .map(|i| alloc(&mut mm, i, PageType::HeapAnon))
+            .collect();
+        for &g in &pages {
+            list.push_front(&mut mm, g);
+        }
+        // Close the list into a ring: the tail links back to the head.
+        mm.page_mut(pages[0]).set_lru_next(Some(pages[2]));
+        let walked: Vec<Gfn> = list.iter(&mm).collect();
+        assert_eq!(walked, vec![pages[2], pages[1], pages[0], pages[2]]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The guest memmap: one [`Page`] descriptor per guest frame, plus the
-//! per-(type, tier) resident accounting the HeteroOS allocator's
-//! demand-based prioritization consumes (§3.2).
+//! The guest memmap: one [`Page`] descriptor per guest frame, a reverse-map
+//! side table, and the per-(type, tier) resident accounting the HeteroOS
+//! allocator's demand-based prioritization consumes (§3.2).
 //!
 //! Guest frame numbers are statically partitioned into per-tier ranges at
 //! boot (the boot allocator "initializes one NUMA node and its related data
@@ -10,7 +10,7 @@ use hetero_mem::heatgen::ColdLedger;
 use hetero_mem::kind::KindMap;
 use hetero_mem::MemKind;
 
-use crate::page::{Gfn, Page, PageFlags, PageType};
+use crate::page::{Gfn, Page, PageFlags, PageType, RMap, MAX_FRAMES};
 
 /// Aggregate residency of one `(page type, tier)` bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -24,6 +24,10 @@ pub struct Residency {
 }
 
 /// The guest's page-descriptor array and tier layout.
+///
+/// Descriptors are 16 bytes ([`Page`]); each frame's reverse map sits in a
+/// parallel side table ([`MemMap::rmap`]) that only allocation, free,
+/// migration and unmap touch, so whole-memmap walks read descriptors only.
 ///
 /// # Examples
 ///
@@ -40,6 +44,8 @@ pub struct Residency {
 #[derive(Debug, Clone)]
 pub struct MemMap {
     pages: Vec<Page>,
+    /// Reverse map per frame, indexed like `pages`.
+    rmap: Vec<RMap>,
     ranges: Vec<(MemKind, std::ops::Range<u64>)>,
     residency: [KindMap<Residency>; PageType::COUNT],
     /// O(1) cold-active page counts (lazy LRU aging, DESIGN.md §13).
@@ -52,9 +58,15 @@ impl MemMap {
     /// Builds a memmap with the given per-tier frame counts, laid out
     /// fastest tier first.
     ///
+    /// A guest holds at most [`MAX_FRAMES`] frames in total: LRU links
+    /// are 32-bit frame indexes. Guest sizes come from the simulator's own
+    /// configurations (no CLI flag sizes guest memory), so the bound is an
+    /// internal invariant, asserted here.
+    ///
     /// # Panics
     ///
-    /// Panics on duplicate tiers or an empty layout.
+    /// Panics on duplicate tiers, an empty layout, or more than
+    /// [`MAX_FRAMES`] frames.
     pub fn new(layout: &[(MemKind, u64)]) -> Self {
         assert!(!layout.is_empty(), "memmap needs at least one tier");
         let mut sorted: Vec<(MemKind, u64)> = layout.to_vec();
@@ -62,6 +74,13 @@ impl MemMap {
         for w in sorted.windows(2) {
             assert_ne!(w[0].0, w[1].0, "duplicate tier {}", w[0].0);
         }
+        let total = sorted
+            .iter()
+            .try_fold(0u64, |sum, &(_, frames)| sum.checked_add(frames));
+        assert!(
+            matches!(total, Some(t) if t <= MAX_FRAMES),
+            "memmap exceeds {MAX_FRAMES} frames"
+        );
         let mut pages = Vec::new();
         let mut ranges = Vec::new();
         let mut base = 0u64;
@@ -71,6 +90,7 @@ impl MemMap {
             base += frames;
         }
         MemMap {
+            rmap: vec![RMap::None; pages.len()],
             pages,
             ranges,
             residency: [KindMap::default(); PageType::COUNT],
@@ -107,17 +127,19 @@ impl MemMap {
     }
 
     /// Dense recount of cold-active pages per tier — the audit oracle for
-    /// the incremental ledger. Walks every frame; only the sanitizer
-    /// should call this on hot paths.
+    /// the incremental ledger. Walks every frame of each tier's range with
+    /// no data-dependent branch; only the sanitizer should call this on
+    /// hot paths.
     pub fn recount_cold_active(&self) -> KindMap<u64> {
         let mut out: KindMap<u64> = KindMap::default();
-        if !self.ledger.is_configured() {
+        let Some(threshold) = self.ledger.threshold() else {
             return out;
-        }
-        for p in &self.pages {
-            if p.flags.contains(PageFlags::ACTIVE) && self.ledger.is_cold(p.heat) {
-                out[p.kind] += 1;
-            }
+        };
+        for (kind, range) in &self.ranges {
+            out[*kind] = self.pages[range.start as usize..range.end as usize]
+                .iter()
+                .map(|p| (p.flags.contains(PageFlags::ACTIVE) & (p.heat < threshold)) as u64)
+                .sum();
         }
         out
     }
@@ -185,7 +207,7 @@ impl MemMap {
     /// [`MemMap::set_free`] / [`MemMap::set_heat`] desynchronises the
     /// residency accounting, and flipping `ACTIVE` without
     /// [`MemMap::set_active`] desynchronises the cold-active ledger; use
-    /// it for the remaining flags, rmap and LRU links only.
+    /// it for the remaining flags and LRU links only.
     ///
     /// # Panics
     ///
@@ -193,6 +215,27 @@ impl MemMap {
     #[inline]
     pub fn page_mut(&mut self, gfn: Gfn) -> &mut Page {
         &mut self.pages[gfn.index()]
+    }
+
+    /// What a frame backs (its reverse map).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `gfn` is out of range.
+    #[inline]
+    pub fn rmap(&self, gfn: Gfn) -> RMap {
+        self.rmap[gfn.index()]
+    }
+
+    /// Sets a frame's reverse map. Allocation and free reset it to
+    /// [`RMap::None`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `gfn` is out of range.
+    #[inline]
+    pub fn set_rmap(&mut self, gfn: Gfn, rmap: RMap) {
+        self.rmap[gfn.index()] = rmap;
     }
 
     /// Marks a free page as allocated with the given type and heat,
@@ -209,11 +252,11 @@ impl MemMap {
             p.page_type = page_type;
             p.heat = heat;
             p.write_heat = 0;
-            p.lru_prev = None;
-            p.lru_next = None;
-            p.rmap = crate::page::RMap::None;
+            p.set_lru_prev(None);
+            p.set_lru_next(None);
             p.kind
         };
+        self.rmap[gfn.index()] = RMap::None;
         let r = &mut self.residency[page_type.index()][kind];
         r.pages += 1;
         r.heat += heat as u64;
@@ -221,8 +264,8 @@ impl MemMap {
 
     /// One-borrow fast path for the bulk allocators: marks a free page
     /// allocated *and* applies the LRU descriptor half of a head-insert
-    /// (`LRU` flag, `lru_prev = None`, `lru_next` = the list's current
-    /// head) plus the reverse map, in a single descriptor access. The
+    /// (`LRU` flag, no previous link, the list's current head as the
+    /// next link) plus the reverse map, in a single descriptor access. The
     /// caller completes the insert with
     /// [`crate::lru::LruList::push_front_prelinked`].
     ///
@@ -241,7 +284,7 @@ impl MemMap {
         heat: u8,
         active: bool,
         lru_next: Option<Gfn>,
-        rmap: crate::page::RMap,
+        rmap: RMap,
     ) -> MemKind {
         let kind = {
             let p = &mut self.pages[gfn.index()];
@@ -254,11 +297,11 @@ impl MemMap {
             p.page_type = page_type;
             p.heat = heat;
             p.write_heat = 0;
-            p.lru_prev = None;
-            p.lru_next = lru_next;
-            p.rmap = rmap;
+            p.set_lru_prev(None);
+            p.set_lru_next(lru_next);
             p.kind
         };
+        self.rmap[gfn.index()] = rmap;
         let r = &mut self.residency[page_type.index()][kind];
         r.pages += 1;
         r.heat += heat as u64;
@@ -284,11 +327,11 @@ impl MemMap {
             p.flags = PageFlags::empty();
             p.heat = 0;
             p.write_heat = 0;
-            p.lru_prev = None;
-            p.lru_next = None;
-            p.rmap = crate::page::RMap::None;
+            p.set_lru_prev(None);
+            p.set_lru_next(None);
             prev
         };
+        self.rmap[gfn.index()] = RMap::None;
         let r = &mut self.residency[page_type.index()][kind];
         r.pages -= 1;
         r.heat -= heat as u64;
@@ -375,7 +418,52 @@ impl MemMap {
 
 hetero_sim::impl_snap!(struct Residency { pages, heat, write_heat });
 
-hetero_sim::impl_snap!(struct MemMap { pages, ranges, residency, ledger });
+/// Each descriptor is encoded followed by its reverse map, then the tier
+/// layout, residency and ledger (the `SNAP_VERSION` 2 layout).
+impl hetero_sim::snap::Snap for MemMap {
+    fn snap(&self, w: &mut hetero_sim::snap::SnapWriter) {
+        w.put_usize(self.pages.len());
+        for (page, rmap) in self.pages.iter().zip(&self.rmap) {
+            page.snap_into(w);
+            rmap.snap(w);
+        }
+        self.ranges.snap(w);
+        self.residency.snap(w);
+        self.ledger.snap(w);
+    }
+
+    /// Rejects a frame count past [`MAX_FRAMES`] and any LRU link at or
+    /// past the frame count as [`SnapshotError::Corrupt`].
+    ///
+    /// [`SnapshotError::Corrupt`]: hetero_sim::snap::SnapshotError::Corrupt
+    fn unsnap(
+        r: &mut hetero_sim::snap::SnapReader<'_>,
+    ) -> Result<Self, hetero_sim::snap::SnapshotError> {
+        use hetero_sim::snap::{Snap, SnapshotError};
+        let frames = r.take_u64()?;
+        if frames > MAX_FRAMES {
+            return Err(SnapshotError::corrupt(format!(
+                "memmap of {frames} frames exceeds {MAX_FRAMES}"
+            )));
+        }
+        // One reservation per vector, capped by what the remaining bytes
+        // can encode so a corrupt count cannot over-allocate.
+        let cap = (frames as usize).min(r.remaining() / Page::MIN_SNAP_BYTES);
+        let mut pages = Vec::with_capacity(cap);
+        let mut rmap = Vec::with_capacity(cap);
+        for _ in 0..frames {
+            pages.push(Page::unsnap_checked(r, frames)?);
+            rmap.push(RMap::unsnap(r)?);
+        }
+        Ok(MemMap {
+            pages,
+            rmap,
+            ranges: Snap::unsnap(r)?,
+            residency: Snap::unsnap(r)?,
+            ledger: Snap::unsnap(r)?,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -503,6 +591,112 @@ mod tests {
             assert_eq!(recount[k], m.cold_active(k), "{k}");
         }
         assert_eq!(m.cold_active(MemKind::Fast), 3, "heats 3, 10, 47 active-cold");
+    }
+
+    /// 64-bit FNV-1a digest of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// A small memmap exercising every encoded descriptor feature: LRU
+    /// links in both directions, all three reverse-map variants, write
+    /// heat, a ballooned page and an armed cold ledger.
+    fn hand_built() -> MemMap {
+        use crate::lru::{LruClass, LruRegistry};
+        let mut m = mm();
+        let mut lru = LruRegistry::new();
+        m.configure_cold_ledger(48);
+        let mut link = |m: &mut MemMap, g: u64, t: PageType, heat: u8, active: bool, rmap| {
+            let gfn = Gfn(g);
+            let kind = m.kind_of(gfn);
+            let class = LruClass::of(t).unwrap();
+            let list = lru.fresh_list_mut(kind, class, active);
+            m.set_allocated_linked(gfn, t, heat, active, list.peek_front(), rmap);
+            list.push_front_prelinked(m, gfn);
+        };
+        link(&mut m, 0, PageType::HeapAnon, 200, true, RMap::Anon(0x40));
+        link(&mut m, 1, PageType::HeapAnon, 10, true, RMap::Anon(0x41));
+        link(&mut m, 5, PageType::HeapAnon, 90, true, RMap::Anon(0x45));
+        link(&mut m, 2, PageType::PageCache, 30, false, RMap::File(3, 7));
+        link(&mut m, 10, PageType::BufferCache, 60, false, RMap::File(4, 8));
+        link(&mut m, 11, PageType::PageCache, 20, false, RMap::File(3, 9));
+        m.set_write_heat(Gfn(5), 17);
+        m.set_heat(Gfn(1), 70);
+        m.set_allocated(Gfn(3), PageType::Slab, 5);
+        m.set_allocated(Gfn(20), PageType::Dma, 0);
+        m.page_mut(Gfn(20)).flags.insert(PageFlags::BALLOONED);
+        m
+    }
+
+    #[test]
+    fn snapshot_bytes_match_the_pinned_digest() {
+        use hetero_sim::snap::{Snap, SnapReader, SnapWriter};
+        let m = hand_built();
+        let mut w = SnapWriter::new();
+        m.snap(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 924);
+        assert_eq!(fnv1a(&bytes), 0x23a5_57bd_596d_74db, "memmap wire format moved");
+        let back = MemMap::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+        let mut again = SnapWriter::new();
+        back.snap(&mut again);
+        assert_eq!(again.into_bytes(), bytes, "decode + encode is not the identity");
+    }
+
+    #[test]
+    fn decode_rejects_lru_links_past_the_frame_count() {
+        use hetero_sim::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
+        let mut w = SnapWriter::new();
+        hand_built().snap(&mut w);
+        let bytes = w.into_bytes();
+        // The u64 frame count (8 bytes) and frame 0's six fixed descriptor
+        // bytes come first; frame 0's previous link follows: a presence
+        // byte, then the little-endian target frame.
+        let prev = 8 + 6;
+        assert_eq!(bytes[prev], 1, "frame 0 is linked after frame 1");
+        assert_eq!(bytes[prev + 1..prev + 9], 1u64.to_le_bytes());
+        for target in [23u64, 24, 25, u32::MAX as u64, 1 << 32, u64::MAX] {
+            let mut mutant = bytes.clone();
+            mutant[prev + 1..prev + 9].copy_from_slice(&target.to_le_bytes());
+            let decoded =
+                std::panic::catch_unwind(|| MemMap::unsnap(&mut SnapReader::new(&mutant)));
+            match decoded.expect("decode must not panic") {
+                Ok(_) => assert!(target < 24, "link to gfn {target} decoded"),
+                Err(SnapshotError::Corrupt(msg)) => {
+                    assert!(target >= 24, "in-range link {target} rejected: {msg}");
+                    assert!(msg.contains("past the memmap's 24 frames"), "{msg}");
+                }
+                Err(e) => panic!("link to gfn {target}: unexpected error {e}"),
+            }
+        }
+        let mut oversized = bytes.clone();
+        oversized[..8].copy_from_slice(&(MAX_FRAMES + 1).to_le_bytes());
+        assert!(matches!(
+            MemMap::unsnap(&mut SnapReader::new(&oversized)),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "memmap exceeds")]
+    fn layouts_past_the_32_bit_frame_bound_are_rejected() {
+        MemMap::new(&[(MemKind::Fast, MAX_FRAMES), (MemKind::Slow, 1)]);
+    }
+
+    #[test]
+    fn rmap_side_table_follows_allocation_and_free() {
+        let mut m = mm();
+        m.set_allocated_linked(Gfn(4), PageType::HeapAnon, 9, true, None, RMap::Anon(7));
+        assert_eq!(m.rmap(Gfn(4)), RMap::Anon(7));
+        m.set_free(Gfn(4));
+        assert_eq!(m.rmap(Gfn(4)), RMap::None);
+        m.set_allocated(Gfn(4), PageType::PageCache, 1);
+        assert_eq!(m.rmap(Gfn(4)), RMap::None);
+        m.set_rmap(Gfn(4), RMap::File(2, 3));
+        assert_eq!(m.rmap(Gfn(4)), RMap::File(2, 3));
+        assert_eq!(m.rmap(Gfn(5)), RMap::None, "neighbours are untouched");
     }
 
     #[test]

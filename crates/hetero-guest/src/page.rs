@@ -193,10 +193,22 @@ pub enum RMap {
     File(u64, u64),
 }
 
-/// A page descriptor.
+/// Nil value of a [`Page`]'s 32-bit LRU links. [`crate::memmap::MemMap`]
+/// bounds a guest to [`MAX_FRAMES`] frames, so no frame index reaches it.
+const NIL: u32 = u32::MAX;
+
+/// Most frames one guest memmap may hold: LRU links are 32-bit frame
+/// indexes with `u32::MAX` reserved as the nil link.
+pub const MAX_FRAMES: u64 = NIL as u64;
+
+/// A page descriptor: 16 bytes, one per guest frame, like the kernel
+/// memmap.
 ///
-/// Kept deliberately small: one is allocated per guest frame, exactly like
-/// the kernel memmap.
+/// The LRU links are 32-bit frame indexes, read and written through
+/// [`Page::lru_prev`] / [`Page::set_lru_prev`] and their `next`
+/// counterparts. The reverse map lives in a side table on the memmap
+/// ([`crate::memmap::MemMap::rmap`]), so the dense walks the audits and
+/// the persistence sweep make over every frame stay small.
 #[derive(Debug, Clone, Copy)]
 pub struct Page {
     /// State bits.
@@ -214,12 +226,26 @@ pub struct Page {
     /// Zero until the engine assigns it; accounting then tracks it like
     /// `heat`.
     pub write_heat: u8,
-    /// LRU linkage: previous page on the list.
-    pub lru_prev: Option<Gfn>,
-    /// LRU linkage: next page on the list.
-    pub lru_next: Option<Gfn>,
-    /// Reverse map.
-    pub rmap: RMap,
+    /// LRU linkage: previous page on the list, [`NIL`] for none.
+    lru_prev: u32,
+    /// LRU linkage: next page on the list, [`NIL`] for none.
+    lru_next: u32,
+}
+
+#[inline]
+fn link(raw: u32) -> Option<Gfn> {
+    (raw != NIL).then_some(Gfn(raw as u64))
+}
+
+#[inline]
+fn raw_link(gfn: Option<Gfn>) -> u32 {
+    match gfn {
+        Some(g) => {
+            assert!(g.0 < MAX_FRAMES, "{g} is past the 32-bit frame bound");
+            g.0 as u32
+        }
+        None => NIL,
+    }
 }
 
 impl Page {
@@ -231,9 +257,8 @@ impl Page {
             kind,
             heat: 0,
             write_heat: 0,
-            lru_prev: None,
-            lru_next: None,
-            rmap: RMap::None,
+            lru_prev: NIL,
+            lru_next: NIL,
         }
     }
 
@@ -241,6 +266,38 @@ impl Page {
     #[inline]
     pub fn is_present(&self) -> bool {
         self.flags.contains(PageFlags::PRESENT)
+    }
+
+    /// LRU linkage: the previous page on the list.
+    #[inline]
+    pub fn lru_prev(&self) -> Option<Gfn> {
+        link(self.lru_prev)
+    }
+
+    /// LRU linkage: the next page on the list.
+    #[inline]
+    pub fn lru_next(&self) -> Option<Gfn> {
+        link(self.lru_next)
+    }
+
+    /// Sets the previous-page link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gfn` is at or past [`MAX_FRAMES`].
+    #[inline]
+    pub fn set_lru_prev(&mut self, gfn: Option<Gfn>) {
+        self.lru_prev = raw_link(gfn);
+    }
+
+    /// Sets the next-page link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gfn` is at or past [`MAX_FRAMES`].
+    #[inline]
+    pub fn set_lru_next(&mut self, gfn: Option<Gfn>) {
+        self.lru_next = raw_link(gfn);
     }
 }
 
@@ -266,6 +323,62 @@ impl hetero_sim::snap::Snap for PageFlags {
     }
 }
 
+impl Page {
+    /// Fewest bytes one encoded descriptor and its reverse map take:
+    /// six fixed bytes, two link presence bytes and an rmap tag.
+    pub(crate) const MIN_SNAP_BYTES: usize = 9;
+
+    /// Encodes the descriptor: its public fields in declaration order,
+    /// then each link as an `Option<Gfn>`. The memmap appends the reverse
+    /// map after it.
+    pub(crate) fn snap_into(&self, w: &mut hetero_sim::snap::SnapWriter) {
+        use hetero_sim::snap::Snap;
+        self.flags.snap(w);
+        self.page_type.snap(w);
+        self.kind.snap(w);
+        w.put_u8(self.heat);
+        w.put_u8(self.write_heat);
+        for raw in [self.lru_prev, self.lru_next] {
+            if raw == NIL {
+                w.put_u8(0);
+            } else {
+                w.put_u8(1);
+                w.put_u64(raw as u64);
+            }
+        }
+    }
+
+    /// Decodes one descriptor written by [`Page::snap_into`].
+    ///
+    /// # Errors
+    ///
+    /// Any read error, or [`hetero_sim::snap::SnapshotError::Corrupt`] for
+    /// a bad tag or an LRU link at or past `frames` (at most
+    /// [`MAX_FRAMES`]).
+    pub(crate) fn unsnap_checked(
+        r: &mut hetero_sim::snap::SnapReader<'_>,
+        frames: u64,
+    ) -> Result<Self, hetero_sim::snap::SnapshotError> {
+        use hetero_sim::snap::{Snap, SnapshotError};
+        let checked = |link: Option<Gfn>| match link {
+            None => Ok(NIL),
+            Some(g) if g.0 < frames => Ok(g.0 as u32),
+            Some(g) => Err(SnapshotError::corrupt(format!(
+                "LRU link {g} is past the memmap's {frames} frames"
+            ))),
+        };
+        Ok(Page {
+            flags: Snap::unsnap(r)?,
+            page_type: Snap::unsnap(r)?,
+            kind: Snap::unsnap(r)?,
+            heat: r.take_u8()?,
+            write_heat: r.take_u8()?,
+            lru_prev: checked(Snap::unsnap(r)?)?,
+            lru_next: checked(Snap::unsnap(r)?)?,
+        })
+    }
+}
+
 hetero_sim::impl_snap!(enum PageType {
     0 => HeapAnon {},
     1 => PageCache {},
@@ -280,10 +393,6 @@ hetero_sim::impl_snap!(enum RMap {
     0 => None {},
     1 => Anon(vpn),
     2 => File(file, offset),
-});
-
-hetero_sim::impl_snap!(struct Page {
-    flags, page_type, kind, heat, write_heat, lru_prev, lru_next, rmap
 });
 
 #[cfg(test)]
@@ -340,10 +449,32 @@ mod tests {
     }
 
     #[test]
-    fn fresh_page_is_not_present() {
+    fn fresh_page_is_not_present_and_unlinked() {
         let p = Page::free_on(MemKind::Fast);
         assert!(!p.is_present());
-        assert_eq!(p.rmap, RMap::None);
+        assert_eq!((p.lru_prev(), p.lru_next()), (None, None));
+    }
+
+    #[test]
+    fn descriptor_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Page>(), 16);
+    }
+
+    #[test]
+    fn links_round_trip_through_the_32_bit_encoding() {
+        let mut p = Page::free_on(MemKind::Slow);
+        p.set_lru_prev(Some(Gfn(0)));
+        p.set_lru_next(Some(Gfn(MAX_FRAMES - 1)));
+        assert_eq!(p.lru_prev(), Some(Gfn(0)));
+        assert_eq!(p.lru_next(), Some(Gfn(MAX_FRAMES - 1)));
+        p.set_lru_prev(None);
+        assert_eq!(p.lru_prev(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit frame bound")]
+    fn link_past_the_frame_bound_panics() {
+        Page::free_on(MemKind::Fast).set_lru_next(Some(Gfn(MAX_FRAMES)));
     }
 
     #[test]

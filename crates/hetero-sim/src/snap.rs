@@ -142,53 +142,63 @@ impl SnapWriter {
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a little-endian `u16`.
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u128`.
+    #[inline]
     pub fn put_u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `usize` as a `u64` (the on-disk width is fixed).
+    #[inline]
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
 
     /// Appends a `bool` as one byte.
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(u8::from(v));
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern (byte-exact, NaN
     /// payloads included).
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
     /// Appends a length-prefixed UTF-8 string.
+    #[inline]
     pub fn put_str(&mut self, s: &str) {
         self.put_usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
 
     /// Appends raw bytes with no length prefix (header fields).
+    #[inline]
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -212,6 +222,7 @@ impl<'a> SnapReader<'a> {
         self.buf.len() - self.pos
     }
 
+    #[inline]
     fn take_raw(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.remaining() < n {
             return Err(SnapshotError::Truncated {
@@ -225,23 +236,27 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn take_u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take_raw(1)?[0])
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn take_u16(&mut self) -> Result<u16, SnapshotError> {
         let b = self.take_raw(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn take_u32(&mut self) -> Result<u32, SnapshotError> {
         let b = self.take_raw(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn take_u64(&mut self) -> Result<u64, SnapshotError> {
         let b = self.take_raw(8)?;
         let mut a = [0u8; 8];
@@ -250,6 +265,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a little-endian `u128`.
+    #[inline]
     pub fn take_u128(&mut self) -> Result<u128, SnapshotError> {
         let b = self.take_raw(16)?;
         let mut a = [0u8; 16];
@@ -258,6 +274,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a `usize` (stored as `u64`).
+    #[inline]
     pub fn take_usize(&mut self) -> Result<usize, SnapshotError> {
         let v = self.take_u64()?;
         usize::try_from(v)
@@ -265,6 +282,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a `bool`; any byte other than 0 or 1 is corrupt.
+    #[inline]
     pub fn take_bool(&mut self) -> Result<bool, SnapshotError> {
         match self.take_u8()? {
             0 => Ok(false),
@@ -274,11 +292,13 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads an `f64` from its bit pattern.
+    #[inline]
     pub fn take_f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
     /// Reads a length-prefixed UTF-8 string.
+    #[inline]
     pub fn take_string(&mut self) -> Result<String, SnapshotError> {
         let len = self.take_usize()?;
         let bytes = self.take_raw(len)?;
