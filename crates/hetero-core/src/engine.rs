@@ -2183,11 +2183,12 @@ impl<W: Workload> SingleVmSim<W> {
     /// One A/D-harvest pass (HMM-V-style page-table tracking). Unlike the
     /// oracle-driven disciplines, hotness comes from the page table itself:
     /// the inter-scan activity sets real accessed/dirty bits, and
-    /// [`PageTable::scan_and_reset`] harvests them — access bits for heat,
-    /// dirty bits for the write heat that the §4.3 write-aware rank
-    /// consumes. Priced per PTE walked via [`CostModel::scan_per_page`].
+    /// [`GuestKernel::touch_and_harvest`] harvests them in the same
+    /// bounded walk — access bits for heat, dirty bits for the write heat
+    /// that the §4.3 write-aware rank consumes. Priced per PTE walked via
+    /// [`CostModel::scan_per_page`].
     ///
-    /// [`PageTable::scan_and_reset`]: hetero_guest::pagetable::PageTable::scan_and_reset
+    /// [`GuestKernel::touch_and_harvest`]: hetero_guest::GuestKernel::touch_and_harvest
     /// [`CostModel::scan_per_page`]: hetero_mem::CostModel
     fn access_bit_scan_once(&mut self) {
         let scan_span = self.span_open("vmm-decision");
@@ -2248,43 +2249,24 @@ impl<W: Workload> SingleVmSim<W> {
             }
         }
         self.ab_cursor = cur;
-        // Inter-scan guest activity: the touch oracle drives real PTE bits.
-        // A touched page dirties in proportion to its write heat, so the
-        // dirty-bit channel sees the same store skew §4.3 describes.
+        // One bounded page-table walk per window segment. Inter-scan guest
+        // activity first: the touch oracle drives real PTE bits, and a
+        // touched page dirties in proportion to its write heat, so the
+        // dirty-bit channel sees the same store skew §4.3 describes. Then
+        // the same walk harvests and resets the bits.
         let mut rng = self.rng.fork();
-        for &(lo, hi) in &window {
-            for vpn in lo..hi {
-                let Some(gfn) = self.kernel.page_table().translate(vpn) else {
-                    continue;
-                };
-                let page = self.kernel.memmap().page(gfn);
-                let p_touch = Self::touch_probability(interval, page);
-                let w_ratio =
-                    (page.write_heat as f64 / (page.heat as f64).max(1.0)).min(1.0);
-                if !rng.chance(p_touch) {
-                    continue;
-                }
-                let write = rng.chance(w_ratio);
-                self.kernel.touch_page(vpn, write);
-            }
-        }
-        // Harvest-and-reset. The closure records VPNs (it holds the page
-        // table mutably); they resolve to frames right after, before the
-        // heap can move anything.
+        let mut touch = |page: &Page| {
+            let p_touch = Self::touch_probability(interval, page);
+            let w_ratio = (page.write_heat as f64 / (page.heat as f64).max(1.0)).min(1.0);
+            rng.chance(p_touch).then(|| rng.chance(w_ratio))
+        };
         let mut harvest = std::mem::take(&mut self.ab_harvest);
         harvest.clear();
         let mut visited = 0u64;
         for &(lo, hi) in &window {
-            visited += self.kernel.harvest_ad_range(lo, hi, |vpn, accessed, dirty| {
-                harvest.push((Gfn(vpn), accessed, dirty));
-            });
-        }
-        for entry in &mut harvest {
-            entry.0 = self
+            visited += self
                 .kernel
-                .page_table()
-                .translate(entry.0 .0)
-                .expect("harvested PTE is mapped");
+                .touch_and_harvest(lo, hi, &mut touch, &mut harvest);
         }
         self.tracker
             .scan_harvest_into(&self.kernel, &harvest, visited, &mut self.scan_scratch);

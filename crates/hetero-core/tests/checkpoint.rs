@@ -14,6 +14,8 @@
 //! * a persistence leg: the NVM write-behind domain under every flush
 //!   policy with host power loss armed, resumed from two cut points and
 //!   pinned to committed digests of a mid-run snapshot and the report,
+//! * page-table A/D tracking on Optane DC for three apps at two seeds,
+//!   pinned to committed digests of the report and a half-run snapshot,
 //! * the failure modes: flipped version byte, wrong layer, truncation —
 //!   each a descriptive `Err`, never a panic.
 
@@ -24,7 +26,7 @@ use hetero_core::{Cluster, Policy, SimConfig, SingleVmSim, Tracking};
 use hetero_faults::{FaultInjector, FaultPlan};
 use hetero_mem::{FlushPolicy, TierProfile};
 use hetero_sim::snap::SnapshotError;
-use hetero_workloads::{apps, AppWorkload};
+use hetero_workloads::{apps, AppWorkload, WorkloadSpec};
 
 const GB: u64 = 1 << 30;
 
@@ -392,6 +394,88 @@ fn persistence_leg_resumes_identically_under_power_loss() {
         assert!(dom.flushed_frames() > 0, "{policy}: no flushed frames at the cut");
         assert_eq!(fnv1a(&snap), snap_digest, "{policy}: snapshot digest moved");
         assert_eq!(fnv1a(report.as_bytes()), report_digest, "{policy}: report digest moved");
+    }
+}
+
+/// Run-length divisor for the A/D-tracking digest legs: the `--quick`
+/// scale, so the six runs stay cheap in debug builds.
+const AD_DIVISOR: u64 = 8;
+
+/// The `--tier-profile optane-dc --tracking access-bit` leg for one app:
+/// HeteroOS-coordinated placement ranked from page-table A/D harvests.
+fn access_bit_sim(spec: WorkloadSpec, seed: u64) -> SingleVmSim<AppWorkload> {
+    let cfg = SimConfig::paper_default()
+        .with_capacity_ratio(1, 4)
+        .with_seed(seed)
+        .with_tier_profile(Some(TierProfile::OptaneDc))
+        .with_tracking(Some(Tracking::AccessBit));
+    let workload = AppWorkload::new(spec, cfg.page_size, cfg.scale);
+    SingleVmSim::new(cfg, Policy::HeteroCoordinated, workload)
+}
+
+/// Per app and seed: FNV-1a digests of the A/D-tracking leg's report JSON
+/// and of its snapshot at half run. nginx and leveldb keep their heaps in
+/// many one-page anon VMAs, graphchi in a few large ones. Only the
+/// snapshot pins the PTE accessed/dirty bits themselves.
+type AdDigest = (fn() -> WorkloadSpec, u64, u64, u64);
+const AD_DIGESTS: [AdDigest; 6] = [
+    (apps::nginx, 1, 0xf825_06b4_c623_2806, 0x8916_d1f5_ca0b_1632),
+    (
+        apps::nginx,
+        42,
+        0x0ec6_369a_b6b9_07b9,
+        0xc97a_52ee_fdf3_a009,
+    ),
+    (
+        apps::leveldb,
+        1,
+        0x0ef8_e5d9_0cca_889a,
+        0x93a3_cb0b_d352_7878,
+    ),
+    (
+        apps::leveldb,
+        42,
+        0x29d5_78d3_b5aa_104a,
+        0xfe43_7dc4_3f4c_26a2,
+    ),
+    (
+        apps::graphchi,
+        1,
+        0x374a_9290_bd93_dd14,
+        0x2cba_ea38_548a_0aba,
+    ),
+    (
+        apps::graphchi,
+        42,
+        0xbf05_dcd6_bf8a_8bba,
+        0x406d_5c88_ae73_296a,
+    ),
+];
+
+#[test]
+fn access_bit_tracking_matches_recorded_digests() {
+    for (app, seed, report_digest, snap_digest) in AD_DIGESTS {
+        let mut spec = app();
+        spec.total_instructions /= AD_DIVISOR;
+        let name = format!("{}/{seed}", spec.name);
+        let half = spec.epochs() / 2;
+        let mut sim = access_bit_sim(spec, seed);
+        let mut steps = 0u64;
+        let mut snap = None;
+        while sim.step() {
+            steps += 1;
+            if steps == half {
+                snap = Some(sim.save());
+            }
+        }
+        let snap = snap.unwrap_or_else(|| panic!("{name}: run ended before half way"));
+        let report = sim.report().to_json();
+        assert_eq!(
+            fnv1a(report.as_bytes()),
+            report_digest,
+            "{name}: report digest moved"
+        );
+        assert_eq!(fnv1a(&snap), snap_digest, "{name}: snapshot digest moved");
     }
 }
 

@@ -15,7 +15,7 @@ use hetero_mem::MemKind;
 use crate::buddy::BuddyAllocator;
 use crate::lru::LruRegistry;
 use crate::memmap::MemMap;
-use crate::page::{Gfn, PageFlags, PageType, RMap};
+use crate::page::{Gfn, Page, PageFlags, PageType, RMap};
 use crate::pagecache::{FileId, PageCache};
 use crate::pagetable::PageTable;
 use crate::pcp::PerCpuLists;
@@ -227,27 +227,30 @@ impl GuestKernel {
         &self.pt
     }
 
-    /// Simulates a CPU touch through the page table: sets the PTE access
-    /// bit (and the dirty bit for writes). Returns `false` when `vpn` is
-    /// unmapped. This is the A/D-tracking analogue of the heat the VMM
-    /// scanner observes — hardware sets these bits for free; the cost
-    /// sits in the harvest ([`GuestKernel::harvest_ad_range`]).
-    pub fn touch_page(&mut self, vpn: u64, write: bool) -> bool {
-        self.pt.touch(vpn, write)
-    }
-
-    /// Harvests and resets the accessed/dirty bits of every mapped PTE in
-    /// `[start, end)`, invoking `f(vpn, accessed, dirty)` per page, and
-    /// returns the number of PTEs visited (the per-PTE work the cost
-    /// model charges). Delegates to [`PageTable::scan_and_reset`] without
-    /// exposing the table mutably.
-    pub fn harvest_ad_range(
+    /// One A/D-tracking pass over the VPNs `[start, end)` in a single
+    /// bounded page-table walk (`PageTable::visit_mapped`). For each
+    /// mapped PTE, in ascending VPN order, `touch` sees the backing page
+    /// and returns `Some(write)` when the CPU touched it since the last
+    /// pass (setting the access bit, and the dirty bit for a write) or
+    /// `None`; then the PTE's `(gfn, accessed, dirty)` is appended to
+    /// `harvest` and both bits are reset (`Pte::harvest`). Returns the
+    /// number of PTEs visited: hardware sets the bits for free, and the
+    /// cost model charges the harvest per PTE.
+    pub fn touch_and_harvest(
         &mut self,
         start: u64,
         end: u64,
-        f: impl FnMut(u64, bool, bool),
+        mut touch: impl FnMut(&Page) -> Option<bool>,
+        harvest: &mut Vec<(Gfn, bool, bool)>,
     ) -> u64 {
-        self.pt.scan_and_reset(start, end, f)
+        let mm = &self.mm;
+        self.pt.visit_mapped(start, end, |_, pte| {
+            if let Some(write) = touch(mm.page(pte.gfn)) {
+                pte.touch(write);
+            }
+            let (accessed, dirty) = pte.harvest();
+            harvest.push((pte.gfn, accessed, dirty));
+        })
     }
 
     /// Allocation statistics (demand-prioritization input).
@@ -1607,6 +1610,34 @@ mod tests {
         assert_eq!(freed, 16);
         assert_eq!(k.memmap().resident_pages(PageType::HeapAnon), 0);
         assert_eq!(k.page_table().mapped_pages(), 0);
+    }
+
+    #[test]
+    fn touch_and_harvest_touches_then_harvests_each_mapped_pte() {
+        let mut k = small_kernel();
+        let (vma, _) = k
+            .mmap_heap(8, (0..8).map(|i| i * 30), &[MemKind::Fast])
+            .unwrap();
+        // Pages at heat >= 90 are touched, those at >= 180 by a write.
+        let mut harvest = Vec::new();
+        let visited = k.touch_and_harvest(
+            vma.start,
+            vma.end(),
+            |p| (p.heat >= 90).then_some(p.heat >= 180),
+            &mut harvest,
+        );
+        assert_eq!(visited, 8);
+        let want: Vec<_> = (0..8u8)
+            .map(|i| {
+                let gfn = k.page_table().translate(vma.start + u64::from(i)).unwrap();
+                (gfn, i * 30 >= 90, i * 30 >= 180)
+            })
+            .collect();
+        assert_eq!(harvest, want);
+        // Both bits were reset, so an untouched pass harvests them clear.
+        let mut again = Vec::new();
+        k.touch_and_harvest(vma.start, vma.end(), |_| None, &mut again);
+        assert!(again.iter().all(|&(_, a, d)| !a && !d), "{again:?}");
     }
 
     #[test]

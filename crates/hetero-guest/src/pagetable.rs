@@ -6,6 +6,8 @@
 //! radix tree: scans walk actual tables, and the number of *page-table
 //! pages* backing the tree feeds the Fig 4 page-type accounting.
 
+use hetero_sim::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
+
 use crate::page::Gfn;
 
 /// Bits translated per level.
@@ -26,6 +28,25 @@ pub struct Pte {
     pub accessed: bool,
     /// Hardware dirty bit.
     pub dirty: bool,
+}
+
+impl Pte {
+    /// A CPU touch: sets the access bit, and the dirty bit for a write.
+    pub(crate) fn touch(&mut self, write: bool) {
+        self.accessed = true;
+        self.dirty |= write;
+    }
+
+    /// Harvest-and-reset: returns `(accessed, dirty)` and clears both.
+    /// Resetting the dirty bit alongside the access bit is what makes
+    /// harvested write heat decay: without it every page written once
+    /// reads as write-hot forever.
+    pub(crate) fn harvest(&mut self) -> (bool, bool) {
+        let bits = (self.accessed, self.dirty);
+        self.accessed = false;
+        self.dirty = false;
+        bits
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -294,8 +315,7 @@ impl PageTable {
     pub fn touch(&mut self, vpn: u64, write: bool) -> bool {
         match self.leaf_mut(vpn) {
             Some(pte) => {
-                pte.accessed = true;
-                pte.dirty |= write;
+                pte.touch(write);
                 true
             }
             None => false,
@@ -312,75 +332,183 @@ impl PageTable {
         })
     }
 
+    /// Visits every mapped PTE in `[start, end)` in ascending VPN order,
+    /// calling `f(vpn, pte)`, and returns how many it visited. The walk
+    /// reads only the slots inside the range and skips empty subtrees, so
+    /// a range of mapped pages costs its PTEs plus one descent through
+    /// the levels, not the 512 slots of every table it enters. An empty
+    /// or reversed range visits nothing; the range is clipped at
+    /// [`VPN_LIMIT`].
+    pub(crate) fn visit_mapped(
+        &mut self,
+        start: u64,
+        end: u64,
+        mut f: impl FnMut(u64, &mut Pte),
+    ) -> u64 {
+        fn visit(
+            table: &mut Table,
+            level: u32,
+            base: u64,
+            first: u64,
+            last: u64,
+            f: &mut impl FnMut(u64, &mut Pte),
+        ) -> u64 {
+            // `[first, last]` meets this table's span; visit only the
+            // slots it covers.
+            let shift = LEVEL_BITS * level;
+            let span = (FANOUT as u64) << shift;
+            let lo = PageTable::index(first.max(base), level);
+            let hi = PageTable::index(last.min(base + span - 1), level);
+            let mut visited = 0;
+            for (i, entry) in (lo..=hi).zip(&mut table.entries[lo..=hi]) {
+                let vpn = base + ((i as u64) << shift);
+                match entry {
+                    Entry::Empty => {}
+                    Entry::Table(child) => visited += visit(child, level - 1, vpn, first, last, f),
+                    Entry::Leaf(pte) => {
+                        visited += 1;
+                        f(vpn, pte);
+                    }
+                }
+            }
+            visited
+        }
+        let end = end.min(VPN_LIMIT);
+        if start >= end {
+            return 0;
+        }
+        visit(&mut self.root, LEVELS - 1, 0, start, end - 1, &mut f)
+    }
+
     /// Scans `[start, end)`, invoking `f(vpn, accessed, dirty)` for each
-    /// mapped page and **clearing both the access and dirty bits** (the
-    /// harvest-and-reset cycle of software A/D tracking). Resetting the
-    /// dirty bit alongside the access bit is what makes harvested write
-    /// heat decay: without it every page written once reads as
-    /// write-hot forever. Returns the number of PTEs visited.
+    /// mapped page in ascending VPN order and **clearing both the access
+    /// and dirty bits** (the harvest-and-reset cycle of software A/D
+    /// tracking, see `Pte::harvest`). Returns the number of PTEs visited.
+    /// One bounded walk (`PageTable::visit_mapped`).
     pub fn scan_and_reset(
         &mut self,
         start: u64,
         end: u64,
         mut f: impl FnMut(u64, bool, bool),
     ) -> u64 {
-        let mut visited = 0;
-        // Walk leaves in range. A faithful scanner walks tables, skipping
-        // empty subtrees — mirrored here via recursion.
-        fn recurse(
-            table: &mut Table,
-            level: u32,
-            base: u64,
-            start: u64,
-            end: u64,
-            visited: &mut u64,
-            f: &mut impl FnMut(u64, bool, bool),
-        ) {
-            let span = 1u64 << (LEVEL_BITS * level);
-            for (i, entry) in table.entries.iter_mut().enumerate() {
-                let lo = base + i as u64 * span;
-                let hi = lo + span;
-                if hi <= start || lo >= end {
-                    continue;
-                }
-                match entry {
-                    Entry::Empty => {}
-                    Entry::Table(child) => {
-                        recurse(child, level - 1, lo, start, end, visited, f)
-                    }
-                    Entry::Leaf(pte) => {
-                        *visited += 1;
-                        f(lo, pte.accessed, pte.dirty);
-                        pte.accessed = false;
-                        pte.dirty = false;
-                    }
-                }
-            }
-        }
-        recurse(
-            &mut self.root,
-            LEVELS - 1,
-            0,
-            start,
-            end.min(VPN_LIMIT),
-            &mut visited,
-            &mut f,
-        );
-        visited
+        self.visit_mapped(start, end, |vpn, pte| {
+            let (accessed, dirty) = pte.harvest();
+            f(vpn, accessed, dirty);
+        })
     }
 }
 
 hetero_sim::impl_snap!(struct Pte { gfn, accessed, dirty });
 
-hetero_sim::impl_snap!(enum Entry {
-    0 => Empty {},
-    1 => Table(table),
-    2 => Leaf(pte),
-});
+/// Snapshot tag of an empty slot.
+const SLOT_EMPTY: u8 = 0;
+/// Snapshot tag of a slot holding the next level's table.
+const SLOT_TABLE: u8 = 1;
+/// Snapshot tag of a slot holding a PTE.
+const SLOT_LEAF: u8 = 2;
 
-hetero_sim::impl_snap!(struct Table { entries, used });
+/// Leaves and tables found while decoding a tree.
+#[derive(Default)]
+struct Tally {
+    leaves: u64,
+    tables: u64,
+}
 
-hetero_sim::impl_snap!(struct PageTable { root, mapped, table_pages });
+impl Table {
+    /// Encodes the entry count, then per slot its tag and payload, then
+    /// `used`.
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_usize(self.entries.len());
+        for entry in &self.entries {
+            match entry {
+                Entry::Empty => w.put_u8(SLOT_EMPTY),
+                Entry::Table(child) => {
+                    w.put_u8(SLOT_TABLE);
+                    child.snap(w);
+                }
+                Entry::Leaf(pte) => {
+                    w.put_u8(SLOT_LEAF);
+                    pte.snap(w);
+                }
+            }
+        }
+        w.put_usize(self.used);
+    }
+
+    /// Decodes a table at `level`, adding what it holds to `tally`. Fails
+    /// unless the table has exactly [`FANOUT`] entries, levels above 0
+    /// hold only tables or empties, level 0 only leaves or empties, and
+    /// `used` counts the non-empty slots. Recursion stops at level 0, so a
+    /// hostile nest cannot overflow the stack.
+    fn unsnap(
+        r: &mut SnapReader<'_>,
+        level: u32,
+        tally: &mut Tally,
+    ) -> Result<Self, SnapshotError> {
+        let len = r.take_usize()?;
+        if len != FANOUT {
+            return Err(SnapshotError::corrupt(format!(
+                "page table at level {level} has {len} entries, expected {FANOUT}"
+            )));
+        }
+        let mut entries = Vec::with_capacity(FANOUT);
+        let mut used = 0;
+        for _ in 0..FANOUT {
+            let entry = match (r.take_u8()?, level) {
+                (SLOT_EMPTY, _) => Entry::Empty,
+                (SLOT_TABLE, 1..) => Entry::Table(Box::new(Table::unsnap(r, level - 1, tally)?)),
+                (SLOT_LEAF, 0) => {
+                    tally.leaves += 1;
+                    Entry::Leaf(Pte::unsnap(r)?)
+                }
+                (tag, _) => {
+                    return Err(SnapshotError::corrupt(format!(
+                        "page-table slot tag {tag} is invalid at level {level}"
+                    )))
+                }
+            };
+            used += usize::from(!matches!(entry, Entry::Empty));
+            entries.push(entry);
+        }
+        let recorded = r.take_usize()?;
+        if recorded != used {
+            return Err(SnapshotError::corrupt(format!(
+                "page table at level {level} records {recorded} used slots, holds {used}"
+            )));
+        }
+        tally.tables += 1;
+        Ok(Table { entries, used })
+    }
+}
+
+impl Snap for PageTable {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.root.snap(w);
+        w.put_u64(self.mapped);
+        w.put_u64(self.table_pages);
+    }
+
+    /// Decodes the tree level by level (see `Table::unsnap`) and fails
+    /// unless `mapped` and `table_pages` match it.
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let mut tally = Tally::default();
+        let root = Box::new(Table::unsnap(r, LEVELS - 1, &mut tally)?);
+        let mapped = r.take_u64()?;
+        let table_pages = r.take_u64()?;
+        if (mapped, table_pages) != (tally.leaves, tally.tables) {
+            return Err(SnapshotError::corrupt(format!(
+                "page table records {mapped} mapped pages in {table_pages} tables, \
+                 holds {} in {}",
+                tally.leaves, tally.tables
+            )));
+        }
+        Ok(PageTable {
+            root,
+            mapped,
+            table_pages,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -589,5 +717,213 @@ mod tests {
         pt.map(VPN_LIMIT / 2, Gfn(1));
         let visited = pt.scan_and_reset(0, VPN_LIMIT, |_, _, _| {});
         assert_eq!(visited, 2);
+    }
+
+    /// Mapped VPNs straddling the 512-, 2^18- and 2^27-VPN boundaries
+    /// (leaf, level-1 and level-2 table edges), plus a few loners and the
+    /// last two VPNs below [`VPN_LIMIT`].
+    fn boundary_vpns() -> Vec<u64> {
+        let mut vpns: Vec<u64> = [1u64 << 9, 1 << 18, 1 << 27, 3 << 27]
+            .iter()
+            .flat_map(|&edge| edge - 3..edge + 3)
+            .collect();
+        vpns.extend([0, 700, 1000, (1 << 18) + 900, VPN_LIMIT - 2, VPN_LIMIT - 1]);
+        vpns
+    }
+
+    /// The brute-force reference: one `walk` per VPN of the range.
+    fn walk_each(pt: &PageTable, start: u64, end: u64) -> Vec<(u64, bool, bool)> {
+        (start..end.min(VPN_LIMIT))
+            .filter_map(|vpn| pt.walk(vpn).map(|p| (vpn, p.accessed, p.dirty)))
+            .collect()
+    }
+
+    #[test]
+    fn bounded_scan_matches_brute_force_walk() {
+        let mut pt = PageTable::new();
+        let vpns = boundary_vpns();
+        for &vpn in &vpns {
+            pt.map(vpn, Gfn(vpn));
+        }
+        let edge = |bits: u32| 1u64 << bits;
+        // (start, end, mapped VPNs inside)
+        let ranges = [
+            (edge(9), edge(9), 0),                 // empty
+            (edge(18) + 2, edge(18) - 2, 0),       // reversed
+            (edge(9) - 1, edge(9), 1),             // last slot of a leaf table
+            (edge(9), edge(9) + 1, 1),             // first slot of the next
+            (edge(27) - 1, edge(27), 1),           // last slot under a root slot
+            (0, 2000, 9),                          // four leaf tables
+            (edge(18) - 1500, edge(18) + 1500, 7), // across a level-1 edge
+            (edge(27) - 600, edge(27) + 600, 6),   // across a root slot
+            ((3 << 27) - 3, (3 << 27) + 3, 6),
+            (VPN_LIMIT - 1000, VPN_LIMIT + 1000, 2), // ends past VPN_LIMIT
+            (VPN_LIMIT, VPN_LIMIT + 10, 0),          // starts at it
+            (VPN_LIMIT + 5, VPN_LIMIT + 50, 0),      // starts past it
+            (u64::MAX - 1, u64::MAX, 0),
+        ];
+        for (start, end, inside) in ranges {
+            // Fresh, varied bits on every mapped page before each scan.
+            for (i, &vpn) in vpns.iter().enumerate() {
+                if i % 3 != 2 {
+                    pt.touch(vpn, i % 2 == 0);
+                }
+            }
+            let before: Vec<Pte> = vpns.iter().map(|&v| *pt.walk(v).unwrap()).collect();
+            let want = walk_each(&pt, start, end);
+            assert_eq!(want.len(), inside, "[{start:#x}, {end:#x}): fixture");
+            let mut got = Vec::new();
+            let visited = pt.scan_and_reset(start, end, |vpn, a, d| got.push((vpn, a, d)));
+            assert_eq!(got, want, "[{start:#x}, {end:#x}): harvest");
+            assert_eq!(visited, inside as u64, "[{start:#x}, {end:#x}): count");
+            for (&vpn, old) in vpns.iter().zip(&before) {
+                let pte = *pt.walk(vpn).unwrap();
+                if (start..end).contains(&vpn) {
+                    assert!(!pte.accessed && !pte.dirty, "{vpn:#x} kept its bits");
+                } else {
+                    assert_eq!(pte, *old, "{vpn:#x} outside [{start:#x}, {end:#x}) changed");
+                }
+            }
+        }
+    }
+
+    fn encode(pt: &PageTable) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        pt.snap(&mut w);
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<PageTable, SnapshotError> {
+        let mut r = SnapReader::new(bytes);
+        let pt = PageTable::unsnap(&mut r)?;
+        r.finish()?;
+        Ok(pt)
+    }
+
+    fn assert_corrupt(bytes: &[u8], what: &str) {
+        match decode(bytes) {
+            Err(SnapshotError::Corrupt(_)) => {}
+            other => panic!("{what}: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn snapshot_round_trips_byte_identically() {
+        let mut pt = PageTable::new();
+        for &vpn in &boundary_vpns() {
+            pt.map(vpn, Gfn(vpn * 7));
+            pt.touch(vpn, vpn % 2 == 0);
+        }
+        let bytes = encode(&pt);
+        let back = decode(&bytes).expect("a well-formed table decodes");
+        assert_eq!(encode(&back), bytes);
+        assert_eq!(back.mapped_pages(), pt.mapped_pages());
+        assert_eq!(back.table_pages(), pt.table_pages());
+        for &vpn in &boundary_vpns() {
+            assert_eq!(back.walk(vpn), pt.walk(vpn));
+        }
+    }
+
+    #[test]
+    fn short_root_is_rejected() {
+        // Regression: a 3-entry root decoded, and the next translate past
+        // slot 2 panicked out of bounds.
+        let mut w = SnapWriter::new();
+        w.put_usize(3);
+        for _ in 0..3 {
+            w.put_u8(SLOT_EMPTY);
+        }
+        w.put_usize(0);
+        w.put_u64(0);
+        w.put_u64(1);
+        assert_corrupt(&w.into_bytes(), "3-entry root");
+    }
+
+    #[test]
+    fn deep_nest_is_rejected_without_overflowing_the_stack() {
+        // Regression: 50,000 nested one-entry tables (about 850 KB)
+        // overflowed the decoder's stack and aborted the process.
+        const DEPTH: u64 = 50_000;
+        let mut w = SnapWriter::new();
+        for _ in 0..DEPTH {
+            w.put_usize(1);
+            w.put_u8(SLOT_TABLE);
+        }
+        w.put_usize(0);
+        w.put_usize(0);
+        for _ in 0..DEPTH {
+            w.put_usize(1);
+        }
+        w.put_u64(0);
+        w.put_u64(DEPTH + 1);
+        assert_corrupt(&w.into_bytes(), "50,000-deep nest");
+    }
+
+    /// Encodes a full-width table whose slot 0 holds `tag` followed by
+    /// what `payload` writes, and whose other slots are empty.
+    fn one_slot_table(w: &mut SnapWriter, tag: u8, payload: impl FnOnce(&mut SnapWriter)) {
+        w.put_usize(FANOUT);
+        w.put_u8(tag);
+        payload(w);
+        for _ in 1..FANOUT {
+            w.put_u8(SLOT_EMPTY);
+        }
+        w.put_usize(1);
+    }
+
+    #[test]
+    fn table_below_level_zero_is_rejected() {
+        fn nest(w: &mut SnapWriter, depth: u32) {
+            if depth == 0 {
+                w.put_usize(FANOUT);
+                for _ in 0..FANOUT {
+                    w.put_u8(SLOT_EMPTY);
+                }
+                w.put_usize(0);
+            } else {
+                one_slot_table(w, SLOT_TABLE, |w| nest(w, depth - 1));
+            }
+        }
+        // LEVELS + 1 nested full-width tables: the level-0 table holds one.
+        let mut w = SnapWriter::new();
+        nest(&mut w, LEVELS);
+        w.put_u64(0);
+        w.put_u64(u64::from(LEVELS) + 1);
+        assert_corrupt(&w.into_bytes(), "table at level 0");
+    }
+
+    #[test]
+    fn leaf_above_level_zero_is_rejected() {
+        let pte = Pte {
+            gfn: Gfn(9),
+            accessed: false,
+            dirty: false,
+        };
+        let mut w = SnapWriter::new();
+        one_slot_table(&mut w, SLOT_LEAF, |w| pte.snap(w));
+        w.put_u64(1);
+        w.put_u64(1);
+        assert_corrupt(&w.into_bytes(), "leaf in the root");
+    }
+
+    #[test]
+    fn counts_that_disagree_with_the_tree_are_rejected() {
+        let mut pt = PageTable::new();
+        pt.map(5, Gfn(5));
+        pt.map(1 << 20, Gfn(6));
+        let bytes = encode(&pt);
+        decode(&bytes).expect("the unmutated table decodes");
+        // The encoding ends with the root's `used`, then `mapped`, then
+        // `table_pages`, each a little-endian u64.
+        let n = bytes.len();
+        for (at, what) in [
+            (n - 24, "root used"),
+            (n - 16, "mapped"),
+            (n - 8, "table_pages"),
+        ] {
+            let mut bad = bytes.clone();
+            bad[at] ^= 1;
+            assert_corrupt(&bad, what);
+        }
     }
 }

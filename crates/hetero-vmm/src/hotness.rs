@@ -219,11 +219,10 @@ impl HotnessTracker {
 
     /// A/D-harvest scan: consumes one deterministic page-table harvest
     /// (`(gfn, accessed, dirty)` per visited PTE, as produced by
-    /// `GuestKernel::harvest_ad_range`), shifting the access bit into the
+    /// `GuestKernel::touch_and_harvest`), shifting the access bit into the
     /// heat history and the dirty bit into the write history, then
     /// classifying hot/cold candidates exactly as the oracle-driven scans
-    /// do. `scanned` is the number of PTEs the harvest walked (it can
-    /// exceed `harvest.len()` when unmapped holes were visited); it drives
+    /// do. `scanned` is the number of PTEs the harvest walked; it drives
     /// the per-PTE scan cost. The outcome is cleared first.
     pub fn scan_harvest_into(
         &mut self,
