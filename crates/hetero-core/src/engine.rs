@@ -1576,8 +1576,9 @@ impl<W: Workload> SingleVmSim<W> {
     }
 
     /// Bulk slab/netbuf object allocation: one kernel call per placement
-    /// run. `GuestKernel::slab_alloc_bulk` internally replicates the scalar
-    /// carve/fresh-page/failure sequence, including per-failure statistics.
+    /// run. `GuestKernel::slab_alloc_bulk` leaves the state of the scalar
+    /// carve/fresh-page/failure sequence, accounting the failures that
+    /// follow a first one in a single step.
     fn bulk_slab_allocs(&mut self, class: SlabClass, page_type: PageType, n: u64) {
         let mut remaining = n;
         let mut pending: Option<TierChain> = None;

@@ -323,6 +323,13 @@ impl GuestKernel {
     fn raw_alloc(&mut self, kind: MemKind) -> Option<Gfn> {
         let cpu = self.next_cpu();
         let buddy = self.buddies[kind].as_mut()?;
+        if buddy.free_frames() == 0 && self.pcp.cached_total(kind) == 0 {
+            // Exhausted tier. The path below would refill from the empty
+            // buddy (which returns before touching a scan hint), drain
+            // nothing, and refill again: only the two refill counts change.
+            self.pcp.refills += 2;
+            return None;
+        }
         if let Some(g) = self.pcp.alloc(cpu, kind, buddy) {
             return Some(g);
         }
@@ -330,6 +337,24 @@ impl GuestKernel {
         // lists. Drain them back to the buddy and retry once.
         self.pcp.drain_kind(kind, buddy);
         self.pcp.alloc(cpu, kind, buddy)
+    }
+
+    /// Stands for `k` further [`GuestKernel::alloc_page`] calls on `chain`
+    /// after one has just failed there. That failure left every configured
+    /// tier of the chain exhausted, and nothing in between frees a frame,
+    /// so each call would only advance `next_cpu` once per chain entry,
+    /// count two refills per configured entry (`raw_alloc`'s exhausted
+    /// guard) and record one miss.
+    fn record_failed_allocs(&mut self, page_type: PageType, chain: &[MemKind], k: u64) {
+        let steps = self.next_cpu as u64 + chain.len() as u64 * k;
+        self.next_cpu = (steps % self.pcp.cpus() as u64) as usize;
+        let configured = chain
+            .iter()
+            .filter(|&&kind| self.buddies[kind].is_some())
+            .count();
+        self.pcp.refills += 2 * k * configured as u64;
+        let wanted_fast = chain.first() == Some(&MemKind::Fast);
+        self.stats.record_run(page_type, wanted_fast, 0, k);
     }
 
     fn raw_free(&mut self, gfn: Gfn) {
@@ -529,7 +554,10 @@ impl GuestKernel {
         // Swapped-out pages in the range die with the mapping — their swap
         // slots are discarded without I/O.
         freed += self.swap.discard_range(vpn, pages);
-        debug_assert!(freed <= removed || removed == 0 || freed >= removed);
+        debug_assert!(
+            freed <= removed,
+            "freed {freed} pages from an unmap that removed {removed}"
+        );
         freed
     }
 
@@ -639,8 +667,10 @@ impl GuestKernel {
     /// State-equivalent to calling [`GuestKernel::page_in`] once per offset
     /// (same placements, statistics and cache-probe counts). For previously
     /// uncached offsets, a tier-exhaustion failure persists for the rest of
-    /// the batch (each remaining attempt still records its miss), so the
-    /// successes form a prefix; the returned count is that prefix length.
+    /// the batch, so the successes form a prefix; the returned count is
+    /// that prefix length. Each remaining offset still makes its own cache
+    /// probe and allocation attempt, which `raw_alloc`'s exhausted-tier
+    /// guard answers without touching the allocators.
     pub fn page_in_many(
         &mut self,
         file: FileId,
@@ -818,8 +848,10 @@ impl GuestKernel {
     /// (same pages carved in the same order, same allocation statistics,
     /// same failure behaviour), but carving whole partial-slab chunks with
     /// one map operation instead of two per object. Returns the number of
-    /// objects obtained; on tier exhaustion the remaining attempts still
-    /// record their allocation misses, as the scalar loop would.
+    /// objects obtained. Once a fresh page cannot be had, the remaining
+    /// objects' failing attempts are accounted in one step
+    /// (`record_failed_allocs`), with the counters the scalar loop would
+    /// leave.
     pub fn slab_alloc_bulk(
         &mut self,
         class: SlabClass,
@@ -855,13 +887,9 @@ impl GuestKernel {
                     done += 1;
                 }
                 Err(_) => {
-                    // Every preferred tier is exhausted, and nothing in this
-                    // loop frees frames, so the remaining attempts would fail
-                    // identically — but each still records its miss, exactly
-                    // as the scalar per-object loop does.
-                    for _ in done + 1..n {
-                        let _ = self.alloc_page(page_type, heat, preference);
-                    }
+                    // The scalar loop's remaining `n - done - 1` objects
+                    // would each fail the same way.
+                    self.record_failed_allocs(page_type, preference, n - done - 1);
                     return done;
                 }
             }
@@ -1587,11 +1615,99 @@ mod tests {
         }
         assert_eq!(bulk.slab_alloc_bulk(SlabClass::FsMeta, n, 224, &[MemKind::Fast]), ok);
         assert!(ok < n, "exhaustion must actually occur");
-        assert_eq!(
-            scalar.stats().overall_miss_ratio(),
-            bulk.stats().overall_miss_ratio()
-        );
-        assert_eq!(scalar.free_frames(MemKind::Fast), bulk.free_frames(MemKind::Fast));
+        assert_eq!(encoded(&bulk), encoded(&scalar));
+    }
+
+    fn encoded(k: &GuestKernel) -> Vec<u8> {
+        use hetero_sim::Snap;
+        let mut w = hetero_sim::SnapWriter::new();
+        k.snap(&mut w);
+        w.into_bytes()
+    }
+
+    /// A Fast/Slow kernel (no Medium) whose tiers in `chain` were allocated
+    /// until `chain` failed, after which the last `spare` pages were freed:
+    /// they sit on per-CPU lists while the buddies stay empty.
+    fn exhausted_kernel(cpus: usize, chain: &[MemKind], spare: usize) -> GuestKernel {
+        let mut k = GuestKernel::new(GuestConfig {
+            frames: vec![(MemKind::Fast, 48), (MemKind::Slow, 80)],
+            cpus,
+            page_size: 4096,
+        });
+        let mut held = Vec::new();
+        while let Ok((gfn, _)) = k.alloc_page(PageType::HeapAnon, 7, chain) {
+            held.push(gfn);
+        }
+        for gfn in held.into_iter().rev().take(spare) {
+            k.free_page(gfn);
+        }
+        k
+    }
+
+    #[test]
+    fn exhausted_tier_guard_leaves_the_bytes_of_the_slow_path() {
+        let chain = [MemKind::Fast, MemKind::Slow];
+        let kinds = [
+            MemKind::Fast,
+            MemKind::Medium,
+            MemKind::Slow,
+            MemKind::Slow,
+            MemKind::Fast,
+        ];
+        for cpus in 1..=3 {
+            for spare in [0, 2] {
+                let mut guarded = exhausted_kernel(cpus, &chain, spare);
+                let mut slow = exhausted_kernel(cpus, &chain, spare);
+                for kind in kinds {
+                    let got = guarded.raw_alloc(kind);
+                    // `raw_alloc` without the guard: refill, drain, refill.
+                    let cpu = slow.next_cpu();
+                    let want = match slow.buddies[kind].as_mut() {
+                        None => None,
+                        Some(buddy) => match slow.pcp.alloc(cpu, kind, buddy) {
+                            Some(gfn) => Some(gfn),
+                            None => {
+                                slow.pcp.drain_kind(kind, buddy);
+                                slow.pcp.alloc(cpu, kind, buddy)
+                            }
+                        },
+                    };
+                    let at = format!("{cpus} cpus, {spare} spare, {kind}");
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(encoded(&guarded), encoded(&slow), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_slab_alloc_on_an_exhausted_chain_matches_per_object_calls() {
+        let chains: [&[MemKind]; 3] = [
+            &[MemKind::Fast, MemKind::Slow],
+            &[MemKind::Slow],
+            &[MemKind::Fast, MemKind::Medium, MemKind::Slow],
+        ];
+        for cpus in 1..=3 {
+            for chain in chains {
+                for spare in [0, 2] {
+                    for n in [1, 2, 7, 100] {
+                        for class in [SlabClass::FsMeta, SlabClass::Skbuff] {
+                            let mut scalar = exhausted_kernel(cpus, chain, spare);
+                            let mut bulk = exhausted_kernel(cpus, chain, spare);
+                            let ok = (0..n)
+                                .filter(|_| scalar.slab_alloc(class, 224, chain).is_ok())
+                                .count() as u64;
+                            assert_eq!(bulk.slab_alloc_bulk(class, n, 224, chain), ok);
+                            assert_eq!(
+                                encoded(&bulk),
+                                encoded(&scalar),
+                                "{cpus} cpus, {chain:?}, {spare} spare, n {n}, {class:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

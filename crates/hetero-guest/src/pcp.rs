@@ -232,6 +232,38 @@ mod tests {
         assert!(pcp.alloc(0, MemKind::Fast, &mut buddy).is_none());
     }
 
+    fn encoded<T: hetero_sim::snap::Snap>(v: &T) -> Vec<u8> {
+        let mut w = hetero_sim::snap::SnapWriter::new();
+        v.snap(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn alloc_and_drain_on_an_exhausted_tier_change_only_the_refill_count() {
+        let mut buddy = BuddyAllocator::new(0, 200);
+        let mut pcp = PerCpuLists::new(3);
+        // Drive every scan hint off zero: take all frames, return a
+        // scattered few (which pulls hints back down), take them again.
+        let held: Vec<Gfn> = (0..200).map(|_| buddy.alloc_page().unwrap()).collect();
+        for g in held.into_iter().rev().step_by(7) {
+            buddy.free_page(g);
+        }
+        while buddy.alloc_page().is_ok() {}
+        assert_eq!(buddy.free_frames(), 0);
+        let buddy_bytes = encoded(&buddy);
+        let pcp_bytes = encoded(&pcp);
+        for cpu in 0..3 {
+            assert_eq!(pcp.alloc(cpu, MemKind::Slow, &mut buddy), None);
+            assert_eq!(pcp.refills, cpu as u64 + 1);
+            assert_eq!(encoded(&buddy), buddy_bytes, "cpu {cpu}");
+        }
+        assert_eq!(pcp.fast_path_hits, 0);
+        pcp.drain_kind(MemKind::Slow, &mut buddy);
+        assert_eq!(encoded(&buddy), buddy_bytes);
+        pcp.refills = 0;
+        assert_eq!(encoded(&pcp), pcp_bytes);
+    }
+
     #[test]
     #[should_panic(expected = "high watermark")]
     fn bad_marks_rejected() {
