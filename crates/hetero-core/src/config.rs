@@ -115,7 +115,8 @@ pub struct SimConfig {
     pub lru_age_batch: usize,
     /// Statistics window for demand-based prioritization (§3.2: 100 ms).
     pub stats_window: Nanos,
-    /// Adaptive-interval clamp (coordinated, §5.4: 50 ms – 1 s).
+    /// Adaptive-interval clamp for the guided and A/D tracking cadences
+    /// (§5.4: 50 ms – 1 s).
     pub adaptive_bounds: (Nanos, Nanos),
     /// Ablation: disable Eq. 1 interval adaptation (fixed `scan_interval`).
     pub adaptive_interval: bool,

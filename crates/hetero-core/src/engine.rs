@@ -117,16 +117,16 @@ pub struct SingleVmSim<W: Workload = AppWorkload> {
     hot_vpns: std::collections::VecDeque<u64>,
     /// Next instant the guest LRU may run a demotion batch.
     next_demote: Nanos,
-    /// Pages the previous coordinated scan actually migrated (drives the
-    /// yield-aware interval backoff).
+    /// Pages the previous guest-assisted scan (guided or A/D) actually
+    /// migrated (drives the yield-aware interval backoff).
     last_scan_yield: u64,
     /// Resume cursor (virtual page) for batched A/D harvest sweeps
     /// ([`Tracking::AccessBit`]): the next sweep continues where the last
     /// one ran out of budget, wrapping over the tracked ranges.
     ab_cursor: u64,
-    /// Harvest scratch for A/D sweeps (`(gfn, accessed, dirty)` per
-    /// visited mapped PTE); reused across scans, never snapshotted —
-    /// always drained within one sweep.
+    /// Harvest buffer for A/D sweeps (`(gfn, accessed, dirty)` per
+    /// visited mapped PTE), reused across scans. It holds the last sweep's
+    /// harvest until the next sweep clears it, and is snapshotted with it.
     ab_harvest: Vec<(Gfn, bool, bool)>,
     cache_next: u64,
     cache_live: std::collections::VecDeque<u64>,
@@ -710,12 +710,9 @@ impl<W: Workload> SingleVmSim<W> {
         if self.clock.now() < self.next_demote {
             return false;
         }
-        let managed = if self.medium_params.is_some() { 2 } else { 1 };
-        MemKind::ALL[..managed].iter().any(|&tier| {
-            let total = self.kernel.total_frames(tier);
-            let low = (self.cfg.fast_low_watermark * total as f64) as u64;
-            self.kernel.free_frames(tier) < low
-        })
+        MemKind::ALL
+            .iter()
+            .any(|&tier| self.below_low_watermark(tier).is_some())
     }
 
     /// (Re-)arms the management deadlines after a management pass updated
@@ -1868,11 +1865,20 @@ impl<W: Workload> SingleVmSim<W> {
         if self.policy.uses_guest_lru() {
             self.run_guest_lru();
         }
-        match self.effective_tracking() {
-            Tracking::None => {}
-            Tracking::FullVm => self.run_vmm_exclusive_tracking(),
-            Tracking::Guided => self.run_coordinated_tracking(),
-            Tracking::AccessBit => self.run_access_bit_tracking(),
+        let tracking = self.effective_tracking();
+        if tracking == Tracking::None {
+            return;
+        }
+        // Epochs can span several scan periods; catch up (bounded) so the
+        // cadence holds in simulated time.
+        let mut fired = 0;
+        while self.clock.now() >= self.next_scan && fired < 4 {
+            fired += 1;
+            self.scan_once(tracking);
+        }
+        if self.clock.now() >= self.next_scan {
+            // Too far behind: resynchronise without unbounded catch-up.
+            self.next_scan = self.clock.now() + self.scan_period(tracking);
         }
     }
 
@@ -1881,6 +1887,27 @@ impl<W: Workload> SingleVmSim<W> {
     /// `repro --tracking`).
     fn effective_tracking(&self) -> Tracking {
         self.cfg.tracking_override.unwrap_or(self.policy.tracking())
+    }
+
+    /// `tier`'s free frames and low watermark when the guest LRU manages
+    /// the tier (FastMem, plus Medium when the machine populates it) and
+    /// it sits below the mark (§3.3 memory-type-specific threshold).
+    /// [`SingleVmSim::lru_pressure`] and [`SingleVmSim::run_guest_lru`]
+    /// share this test, so event dispatch skips an epoch exactly when the
+    /// dense walk would find no tier short (DESIGN §13).
+    fn below_low_watermark(&self, tier: MemKind) -> Option<(u64, u64)> {
+        let managed = match tier {
+            MemKind::Fast => true,
+            MemKind::Medium => self.medium_params.is_some(),
+            MemKind::Slow => false,
+        };
+        if !managed {
+            return None;
+        }
+        let total = self.kernel.total_frames(tier);
+        let free = self.kernel.free_frames(tier);
+        let low = (self.cfg.fast_low_watermark * total as f64) as u64;
+        (free < low).then_some((free, low))
     }
 
     fn run_guest_lru(&mut self) {
@@ -1912,28 +1939,24 @@ impl<W: Workload> SingleVmSim<W> {
             .ratio(self.cfg.stats_window) as u64)
             .clamp(0, 3)
             + 1;
-        let managed = if self.medium_params.is_some() { 2 } else { 1 };
         let mut any = false;
-        for &tier in &MemKind::ALL[..managed] {
-            let total = self.kernel.total_frames(tier);
-            let free = self.kernel.free_frames(tier);
-            let low = (self.cfg.fast_low_watermark * total as f64) as u64;
-            if free < low {
-                any = true;
-                let goal = low + low / 2;
-                let needed =
-                    (goal - free).min(self.cfg.sim_batch(self.cfg.demote_batch) * windows);
-                let moved = if self.cfg.typed_demotion {
-                    self.kernel.demote_inactive_typed(tier, needed)
-                } else {
-                    self.kernel.demote_inactive(tier, needed)
-                };
-                self.charge_migration(moved, true);
-                if moved > 0 {
-                    self.trace(EventKind::Migration, || {
-                        format!("LRU demoted {moved} pages off {tier}")
-                    });
-                }
+        for tier in MemKind::ALL {
+            let Some((free, low)) = self.below_low_watermark(tier) else {
+                continue;
+            };
+            any = true;
+            let goal = low + low / 2;
+            let needed = (goal - free).min(self.cfg.sim_batch(self.cfg.demote_batch) * windows);
+            let moved = if self.cfg.typed_demotion {
+                self.kernel.demote_inactive_typed(tier, needed)
+            } else {
+                self.kernel.demote_inactive(tier, needed)
+            };
+            self.charge_migration(moved, true);
+            if moved > 0 {
+                self.trace(EventKind::Migration, || {
+                    format!("LRU demoted {moved} pages off {tier}")
+                });
             }
         }
         if any {
@@ -1942,7 +1965,7 @@ impl<W: Workload> SingleVmSim<W> {
         self.span_close(lru_span);
     }
 
-    /// Touch oracle shared by both tracking disciplines: a page reads as
+    /// Touch oracle shared by every tracking source: a page reads as
     /// accessed with probability proportional to its heat, scaled by how
     /// much of the app's inter-scan activity the interval covers.
     fn touch_probability(interval: Nanos, page: &Page) -> f64 {
@@ -1955,213 +1978,79 @@ impl<W: Workload> SingleVmSim<W> {
         (page.heat as f64 / 255.0 * intensity).min(1.0)
     }
 
-    fn run_vmm_exclusive_tracking(&mut self) {
-        // Epochs can span several scan intervals; catch up (bounded) so the
-        // fixed 100 ms cadence holds in simulated time.
-        let mut fired = 0;
-        while self.clock.now() >= self.next_scan && fired < 4 {
-            self.next_scan += self.cfg.scan_interval;
-            fired += 1;
-            self.vmm_exclusive_scan_once();
-        }
-        if self.clock.now() >= self.next_scan {
-            // Too far behind: resynchronise without unbounded catch-up.
-            self.next_scan = self.clock.now() + self.cfg.scan_interval;
+    /// The scan period `tracking` runs at. VMM-exclusive full scans keep
+    /// the fixed `scan_interval`; the guest-assisted sources (guided and
+    /// A/D) follow Eq. 1's adaptive interval unless `adaptive_interval` is
+    /// off. Both the pass and the catch-up resync read it.
+    fn scan_period(&self, tracking: Tracking) -> Nanos {
+        if self.cfg.adaptive_interval && tracking != Tracking::FullVm {
+            self.interval.interval()
+        } else {
+            self.cfg.scan_interval
         }
     }
 
-    fn vmm_exclusive_scan_once(&mut self) {
+    /// One tracking pass, in five stages: cadence, candidate source, rank,
+    /// promoter and accounting. DESIGN §17 tabulates what each tracking
+    /// source plugs into each stage.
+    fn scan_once(&mut self, tracking: Tracking) {
         let scan_span = self.span_open("vmm-decision");
-        self.scans += 1;
-        let batch = self.cfg.sim_batch(self.cfg.scan_batch);
-        let interval = self.cfg.scan_interval;
-        let mut rng = self.rng.fork();
-        let mut oracle =
-            move |p: &Page| rng.chance(Self::touch_probability(interval, p));
-        self.tracker
-            .scan_full_into(&self.kernel, &mut oracle, batch, &mut self.scan_scratch);
-        self.audit_scan_outcome();
-        let scanned = self.scan_scratch.scanned;
-        self.charge_scan(scanned);
-        let (hot_n, cold_n) = (
-            self.scan_scratch.hot_candidates.len(),
-            self.scan_scratch.cold_candidates.len(),
-        );
-        self.trace(EventKind::Scan, || {
-            format!("full scan: {scanned} frames, {hot_n} hot / {cold_n} cold candidates")
-        });
-        // Promote hot pages, hottest first — multi-interval access-bit
-        // history ranks pages by touch frequency. The VMM is blind to guest
-        // page state, so it migrates forced — including soon-to-die pages.
-        // The candidate vectors are taken out of the scratch and put back
-        // afterwards so their capacity carries to the next scan.
-        let budget = self.cfg.sim_batch(self.cfg.migrate_batch);
-        let mut migrated = 0u64;
-        let mut hot = std::mem::take(&mut self.scan_scratch.hot_candidates);
-        hot.sort_by_key(|&g| std::cmp::Reverse(self.kernel.memmap().page(g).heat));
-        let cold = std::mem::take(&mut self.scan_scratch.cold_candidates);
-        let mut next_cold = 0usize;
-        'promote: for &gfn in hot.iter().take(budget as usize) {
-            if self.kernel.free_frames(MemKind::Fast) == 0 {
-                // Make room by demoting a cold FastMem page first.
-                let Some(&victim) = cold.get(next_cold) else {
-                    break 'promote;
-                };
-                next_cold += 1;
-                if self
-                    .kernel
-                    .migrate_page_forced(victim, MemKind::Slow)
-                    .is_ok()
-                {
-                    migrated += 1;
-                } else {
-                    continue 'promote;
-                }
-            }
-            if self.kernel.migrate_page_forced(gfn, MemKind::Fast).is_ok() {
-                migrated += 1;
-            }
-        }
-        self.scan_scratch.hot_candidates = hot;
-        self.scan_scratch.cold_candidates = cold;
-        self.charge_migration(migrated, false);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.registry.observe("vmm.scan.frames_per_pass", scanned);
-            t.registry.observe("vmm.migrate.pages_per_pass", migrated);
-        }
-        self.span_close(scan_span);
-    }
-
-    fn run_coordinated_tracking(&mut self) {
-        let mut fired = 0;
-        while self.clock.now() >= self.next_scan && fired < 4 {
-            fired += 1;
-            self.coordinated_scan_once();
-        }
-        if self.clock.now() >= self.next_scan {
-            self.next_scan = self.clock.now() + self.interval.interval();
-        }
-    }
-
-    fn coordinated_scan_once(&mut self) {
-        let scan_span = self.span_open("vmm-decision");
-        // Architectural hints: Eq. 1 adapts the interval from LLC-miss
-        // movement (§4.1). On top of Eq. 1, a yield-aware backoff stretches
-        // the interval when recent scans found little to migrate — the
-        // operational form of "when [misses are] low, the interval is
+        let guest_assisted = tracking != Tracking::FullVm;
+        // Cadence. Architectural hints: Eq. 1 adapts the interval from
+        // LLC-miss movement (§4.1). On top of Eq. 1, a yield-aware backoff
+        // stretches the interval when recent scans found little to migrate
+        // — the operational form of "when [misses are] low, the interval is
         // longer": once the hot set is placed, tracking pays for itself
         // ever more rarely.
-        if self.cfg.adaptive_interval {
+        if guest_assisted && self.cfg.adaptive_interval {
             self.interval.observe(self.epoch_misses);
             if self.last_scan_yield.saturating_mul(4)
                 < self.cfg.sim_batch(self.cfg.migrate_batch)
             {
                 self.interval.back_off(1.5);
             }
-            self.next_scan += self.interval.interval();
-        } else {
-            self.next_scan += self.cfg.scan_interval;
         }
+        let period = self.scan_period(tracking);
+        self.next_scan += period;
         self.scans += 1;
-        // The guest guides *what* to track: heap VMA ranges; short-lived
-        // I/O pages and pinned types go on the exception list.
-        let tracking = self
-            .kernel
-            .address_space()
-            .ranges_of(hetero_guest::vma::VmaKind::Anon);
-        let exceptions = [
-            PageType::PageCache,
-            PageType::BufferCache,
-            PageType::NetBuf,
-            PageType::PageTable,
-            PageType::Dma,
-        ];
-        let batch = self.cfg.sim_batch(self.cfg.scan_batch);
-        let interval = if self.cfg.adaptive_interval {
-            self.interval.interval()
-        } else {
-            self.cfg.scan_interval
-        };
-        let mut rng = self.rng.fork();
-        let mut oracle =
-            move |p: &Page| rng.chance(Self::touch_probability(interval, p));
-        if self.cfg.guided_tracking {
-            self.tracker.scan_tracked_into(
-                &self.kernel,
-                &tracking,
-                &exceptions,
-                &mut oracle,
-                batch,
-                &mut self.scan_scratch,
-            );
-        } else {
-            self.tracker
-                .scan_full_into(&self.kernel, &mut oracle, batch, &mut self.scan_scratch);
+        if !self.scan_candidates(tracking, period) {
+            self.span_close(scan_span);
+            return;
         }
         self.audit_scan_outcome();
         let scanned = self.scan_scratch.scanned;
         self.charge_scan(scanned);
         let hot_n = self.scan_scratch.hot_candidates.len();
-        self.trace(EventKind::Scan, || {
-            format!("guided scan: {scanned} PTEs, {hot_n} hot candidates")
+        let cold_n = self.scan_scratch.cold_candidates.len();
+        self.trace(EventKind::Scan, || match tracking {
+            Tracking::FullVm => {
+                format!("full scan: {scanned} frames, {hot_n} hot / {cold_n} cold candidates")
+            }
+            Tracking::Guided => format!("guided scan: {scanned} PTEs, {hot_n} hot candidates"),
+            _ => format!("A/D harvest: {scanned} PTEs, {hot_n} hot candidates"),
         });
-        // Guest-side migration with §4.1 validity checks, hottest first.
-        // In write-aware mode (§4.3 extension over NVM-like SlowMem), the
-        // rank adds write heat weighted by the store/load asymmetry — a
-        // write-hot page saves more per promoted byte.
-        let budget = self.cfg.sim_batch(self.cfg.migrate_batch);
-        let mut migrated = 0u64;
-        let mut checked = 0u64;
+        // The candidate vector is taken out of the scratch and put back
+        // afterwards so its capacity carries to the next scan.
         let mut hot = std::mem::take(&mut self.scan_scratch.hot_candidates);
-        let store_bias = if self.cfg.write_aware {
-            (self.slow_params.store_latency.as_nanos() as f64
-                / self.slow_params.load_latency.as_nanos().max(1) as f64)
-                - 1.0
+        self.rank_candidates(tracking, &mut hot);
+        let (migrated, checked) = if guest_assisted {
+            self.promote_checked(&hot)
         } else {
-            0.0
+            (self.promote_forced(&hot), 0)
         };
-        hot.sort_by_key(|&g| {
-            let p = self.kernel.memmap().page(g);
-            std::cmp::Reverse(p.heat as u32 + (p.write_heat as f64 * store_bias) as u32)
-        });
-        for &gfn in hot.iter().take(budget as usize) {
-            checked += 1;
-            if self.kernel.free_frames(MemKind::Fast) == 0 {
-                let moved = self.kernel.demote_inactive(MemKind::Fast, 1);
-                migrated += moved;
-                if self.kernel.free_frames(MemKind::Fast) == 0 {
-                    break;
-                }
-            }
-            let res = match self.injector.as_mut() {
-                Some(inj) => inj.migrate_page(&mut self.kernel, gfn, MemKind::Fast),
-                None => self.kernel.migrate_page(gfn, MemKind::Fast),
-            };
-            match res {
-                Ok(_) => migrated += 1,
-                Err(
-                    MigrateError::MarkedForReclaim
-                    | MigrateError::DirtyIo
-                    | MigrateError::NotPresent
-                    | MigrateError::AlreadyThere
-                    | MigrateError::NotMigratable
-                    // Transient (injected) failures resolve by themselves;
-                    // the page stays a candidate for the next scan.
-                    | MigrateError::Transient,
-                ) => {}
-                Err(MigrateError::TargetFull) => break,
-            }
-        }
         self.scan_scratch.hot_candidates = hot;
-        // Validity checks are cheap page walks over the candidates.
-        let validity = self.cfg.costs.validity_cost(self.cfg.real_pages(checked));
-        self.clock.charge(CostCategory::PageWalk, validity);
         self.charge_migration(migrated, false);
-        self.last_scan_yield = migrated;
-        if migrated > 0 {
-            self.trace(EventKind::Migration, || {
-                format!("guest promoted {migrated} pages ({checked} checked)")
-            });
+        if guest_assisted {
+            self.last_scan_yield = migrated;
+            if migrated > 0 {
+                let who = match tracking {
+                    Tracking::Guided => "guest",
+                    _ => "A/D tracker",
+                };
+                self.trace(EventKind::Migration, || {
+                    format!("{who} promoted {migrated} pages ({checked} checked)")
+                });
+            }
         }
         if let Some(t) = self.telemetry.as_mut() {
             t.registry.observe("vmm.scan.frames_per_pass", scanned);
@@ -2170,19 +2059,50 @@ impl<W: Workload> SingleVmSim<W> {
         self.span_close(scan_span);
     }
 
-    fn run_access_bit_tracking(&mut self) {
-        let mut fired = 0;
-        while self.clock.now() >= self.next_scan && fired < 4 {
-            fired += 1;
-            self.access_bit_scan_once();
+    /// Candidate source: fills `scan_scratch` with `tracking`'s hot and
+    /// cold candidates, reading pages as touched over one scan `period`.
+    /// Returns `false` when there was nothing to walk (an A/D sweep before
+    /// any heap is mapped).
+    fn scan_candidates(&mut self, tracking: Tracking, period: Nanos) -> bool {
+        let batch = self.cfg.sim_batch(self.cfg.scan_batch);
+        if tracking == Tracking::AccessBit {
+            return self.harvest_candidates(period, batch);
         }
-        if self.clock.now() >= self.next_scan {
-            self.next_scan = self.clock.now() + self.interval.interval();
+        let mut rng = self.rng.fork();
+        let mut oracle = move |p: &Page| rng.chance(Self::touch_probability(period, p));
+        if tracking == Tracking::Guided && self.cfg.guided_tracking {
+            // The guest guides *what* to track: heap VMA ranges; short-lived
+            // I/O pages and pinned types go on the exception list.
+            let ranges = self
+                .kernel
+                .address_space()
+                .ranges_of(hetero_guest::vma::VmaKind::Anon);
+            let exceptions = [
+                PageType::PageCache,
+                PageType::BufferCache,
+                PageType::NetBuf,
+                PageType::PageTable,
+                PageType::Dma,
+            ];
+            self.tracker.scan_tracked_into(
+                &self.kernel,
+                &ranges,
+                &exceptions,
+                &mut oracle,
+                batch,
+                &mut self.scan_scratch,
+            );
+        } else {
+            // The whole VM, blind to what each page is for: VMM-exclusive
+            // tracking, and the guided source with `guided_tracking` off.
+            self.tracker
+                .scan_full_into(&self.kernel, &mut oracle, batch, &mut self.scan_scratch);
         }
+        true
     }
 
-    /// One A/D-harvest pass (HMM-V-style page-table tracking). Unlike the
-    /// oracle-driven disciplines, hotness comes from the page table itself:
+    /// The A/D candidate source (HMM-V-style page-table tracking). Unlike
+    /// the oracle-driven sources, hotness comes from the page table itself:
     /// the inter-scan activity sets real accessed/dirty bits, and
     /// [`GuestKernel::touch_and_harvest`] harvests them in the same
     /// bounded walk — access bits for heat, dirty bits for the write heat
@@ -2191,27 +2111,7 @@ impl<W: Workload> SingleVmSim<W> {
     ///
     /// [`GuestKernel::touch_and_harvest`]: hetero_guest::GuestKernel::touch_and_harvest
     /// [`CostModel::scan_per_page`]: hetero_mem::CostModel
-    fn access_bit_scan_once(&mut self) {
-        let scan_span = self.span_open("vmm-decision");
-        // Same Eq. 1 adaptive cadence + yield-aware backoff as the
-        // coordinated discipline.
-        if self.cfg.adaptive_interval {
-            self.interval.observe(self.epoch_misses);
-            if self.last_scan_yield.saturating_mul(4)
-                < self.cfg.sim_batch(self.cfg.migrate_batch)
-            {
-                self.interval.back_off(1.5);
-            }
-            self.next_scan += self.interval.interval();
-        } else {
-            self.next_scan += self.cfg.scan_interval;
-        }
-        self.scans += 1;
-        let interval = if self.cfg.adaptive_interval {
-            self.interval.interval()
-        } else {
-            self.cfg.scan_interval
-        };
+    fn harvest_candidates(&mut self, period: Nanos, batch: u64) -> bool {
         // Sweep window: up to `batch` heap VPNs starting at the resume
         // cursor, wrapping across the anon ranges (BTreeMap order, so the
         // walk is deterministic at any `--jobs`).
@@ -2221,11 +2121,9 @@ impl<W: Workload> SingleVmSim<W> {
             .ranges_of(hetero_guest::vma::VmaKind::Anon);
         ranges.retain(|&(s, e)| e > s);
         if ranges.is_empty() {
-            self.span_close(scan_span);
-            return;
+            return false;
         }
         let total_vpns: u64 = ranges.iter().map(|&(s, e)| e - s).sum();
-        let batch = self.cfg.sim_batch(self.cfg.scan_batch);
         let mut remaining = batch.min(total_vpns);
         let mut idx = ranges
             .iter()
@@ -2257,7 +2155,7 @@ impl<W: Workload> SingleVmSim<W> {
         // the same walk harvests and resets the bits.
         let mut rng = self.rng.fork();
         let mut touch = |page: &Page| {
-            let p_touch = Self::touch_probability(interval, page);
+            let p_touch = Self::touch_probability(period, page);
             let w_ratio = (page.write_heat as f64 / (page.heat as f64).max(1.0)).min(1.0);
             rng.chance(p_touch).then(|| rng.chance(w_ratio))
         };
@@ -2272,21 +2170,16 @@ impl<W: Workload> SingleVmSim<W> {
         self.tracker
             .scan_harvest_into(&self.kernel, &harvest, visited, &mut self.scan_scratch);
         self.ab_harvest = harvest;
-        self.audit_scan_outcome();
-        let scanned = self.scan_scratch.scanned;
-        self.charge_scan(scanned);
-        let hot_n = self.scan_scratch.hot_candidates.len();
-        self.trace(EventKind::Scan, || {
-            format!("A/D harvest: {scanned} PTEs, {hot_n} hot candidates")
-        });
-        // Guest-side migration with validity checks, as in the coordinated
-        // discipline — but ranked purely from harvested history: access
-        // bits for heat, dirty bits (weighted by the store/load asymmetry)
-        // for write heat.
-        let budget = self.cfg.sim_batch(self.cfg.migrate_batch);
-        let mut migrated = 0u64;
-        let mut checked = 0u64;
-        let mut hot = std::mem::take(&mut self.scan_scratch.hot_candidates);
+        true
+    }
+
+    /// Rank: promotion candidates hottest first, by a stable sort so ties
+    /// keep scan order. The oracle-driven sources rank by page heat, the
+    /// A/D source by harvested access history. In write-aware mode (§4.3
+    /// extension over NVM-like SlowMem) the guest-assisted sources add
+    /// write heat weighted by the store/load asymmetry — a write-hot page
+    /// saves more per promoted byte. The VMM-exclusive rank never does.
+    fn rank_candidates(&self, tracking: Tracking, hot: &mut [Gfn]) {
         let store_bias = if self.cfg.write_aware {
             (self.slow_params.store_latency.as_nanos() as f64
                 / self.slow_params.load_latency.as_nanos().max(1) as f64)
@@ -2294,16 +2187,64 @@ impl<W: Workload> SingleVmSim<W> {
         } else {
             0.0
         };
-        hot.sort_by_key(|&g| {
-            let heat = self.tracker.history_bits(g).count_ones();
-            let wheat = self.tracker.write_history_bits(g).count_ones();
-            std::cmp::Reverse(heat + (wheat as f64 * store_bias) as u32)
-        });
+        let biased = |heat: u32, write_heat: u32| {
+            std::cmp::Reverse(heat + (write_heat as f64 * store_bias) as u32)
+        };
+        let mm = self.kernel.memmap();
+        match tracking {
+            Tracking::FullVm => hot.sort_by_key(|&g| std::cmp::Reverse(mm.page(g).heat)),
+            Tracking::AccessBit => hot.sort_by_key(|&g| {
+                biased(
+                    self.tracker.history_bits(g).count_ones(),
+                    self.tracker.write_history_bits(g).count_ones(),
+                )
+            }),
+            _ => hot.sort_by_key(|&g| {
+                let p = mm.page(g);
+                biased(p.heat.into(), p.write_heat.into())
+            }),
+        }
+    }
+
+    /// Forced promoter (VMM-exclusive). The VMM is blind to guest page
+    /// state, so it migrates forced — including soon-to-die pages — and
+    /// makes room on a full FastMem by first demoting the next cold
+    /// candidate. Returns the pages moved, victims included.
+    fn promote_forced(&mut self, hot: &[Gfn]) -> u64 {
+        let budget = self.cfg.sim_batch(self.cfg.migrate_batch);
+        let mut migrated = 0u64;
+        let mut next_cold = 0usize;
+        for &gfn in hot.iter().take(budget as usize) {
+            if self.kernel.free_frames(MemKind::Fast) == 0 {
+                let Some(&victim) = self.scan_scratch.cold_candidates.get(next_cold) else {
+                    break;
+                };
+                next_cold += 1;
+                if self.kernel.migrate_page_forced(victim, MemKind::Slow).is_err() {
+                    continue;
+                }
+                migrated += 1;
+            }
+            if self.kernel.migrate_page_forced(gfn, MemKind::Fast).is_ok() {
+                migrated += 1;
+            }
+        }
+        migrated
+    }
+
+    /// Checked promoter (guided and A/D). Guest-side migration with §4.1
+    /// validity checks, through the fault injector when one is armed. A
+    /// full FastMem is topped up by demoting one inactive page; a page the
+    /// checks turn down stays a candidate for the next scan. Charges the
+    /// checks and returns the pages moved and the candidates checked.
+    fn promote_checked(&mut self, hot: &[Gfn]) -> (u64, u64) {
+        let budget = self.cfg.sim_batch(self.cfg.migrate_batch);
+        let mut migrated = 0u64;
+        let mut checked = 0u64;
         for &gfn in hot.iter().take(budget as usize) {
             checked += 1;
             if self.kernel.free_frames(MemKind::Fast) == 0 {
-                let moved = self.kernel.demote_inactive(MemKind::Fast, 1);
-                migrated += moved;
+                migrated += self.kernel.demote_inactive(MemKind::Fast, 1);
                 if self.kernel.free_frames(MemKind::Fast) == 0 {
                     break;
                 }
@@ -2320,26 +2261,17 @@ impl<W: Workload> SingleVmSim<W> {
                     | MigrateError::NotPresent
                     | MigrateError::AlreadyThere
                     | MigrateError::NotMigratable
+                    // Transient (injected) failures resolve by themselves;
+                    // the page stays a candidate for the next scan.
                     | MigrateError::Transient,
                 ) => {}
                 Err(MigrateError::TargetFull) => break,
             }
         }
-        self.scan_scratch.hot_candidates = hot;
+        // Validity checks are cheap page walks over the candidates.
         let validity = self.cfg.costs.validity_cost(self.cfg.real_pages(checked));
         self.clock.charge(CostCategory::PageWalk, validity);
-        self.charge_migration(migrated, false);
-        self.last_scan_yield = migrated;
-        if migrated > 0 {
-            self.trace(EventKind::Migration, || {
-                format!("A/D tracker promoted {migrated} pages ({checked} checked)")
-            });
-        }
-        if let Some(t) = self.telemetry.as_mut() {
-            t.registry.observe("vmm.scan.frames_per_pass", scanned);
-            t.registry.observe("vmm.migrate.pages_per_pass", migrated);
-        }
-        self.span_close(scan_span);
+        (migrated, checked)
     }
 }
 
@@ -2589,6 +2521,37 @@ mod tests {
         let wl = AppWorkload::new(short_spec(apps::nginx()), 4096, 64);
         let sim = SingleVmSim::new(quick_cfg(), Policy::SlowMemOnly, wl);
         assert!(sim.events().is_none());
+    }
+
+    #[test]
+    fn tracking_catch_up_runs_four_passes_then_resyncs() {
+        for (policy, tracking) in [
+            (Policy::VmmExclusive, Tracking::FullVm),
+            (Policy::HeteroCoordinated, Tracking::Guided),
+            (Policy::HeteroCoordinated, Tracking::AccessBit),
+        ] {
+            let cfg = quick_cfg().with_tracking(Some(tracking));
+            let wl = AppWorkload::new(short_spec(apps::graphchi()), cfg.page_size, cfg.scale);
+            let mut sim = SingleVmSim::new(cfg, policy, wl);
+            // A few epochs first, so every source has a heap to walk.
+            for _ in 0..3 {
+                assert!(sim.step());
+            }
+            // Ten periods behind. The adaptive period can stretch during
+            // the passes, so count in the longest one it can reach.
+            let longest = sim.scan_period(tracking).max(sim.cfg.adaptive_bounds.1);
+            let behind = longest.saturating_mul(10);
+            sim.clock.advance(behind);
+            sim.next_scan = sim.clock.now() - behind;
+            let scans = sim.scans;
+            sim.run_management();
+            assert_eq!(sim.scans, scans + 4, "{tracking}: catch-up must stop at four passes");
+            assert_eq!(
+                sim.next_scan,
+                sim.clock.now() + sim.scan_period(tracking),
+                "{tracking}: a cadence still behind must resync one period ahead"
+            );
+        }
     }
 
     #[test]

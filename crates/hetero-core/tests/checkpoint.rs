@@ -16,6 +16,9 @@
 //!   pinned to committed digests of a mid-run snapshot and the report,
 //! * page-table A/D tracking on Optane DC for three apps at two seeds,
 //!   pinned to committed digests of the report and a half-run snapshot,
+//! * the scan pipeline: five policy × tracking-source legs under eight
+//!   config and fault variants, pinned to committed digests of the report,
+//!   event log, telemetry and a half-run snapshot,
 //! * the failure modes: flipped version byte, wrong layer, truncation —
 //!   each a descriptive `Err`, never a panic.
 
@@ -477,6 +480,226 @@ fn access_bit_tracking_matches_recorded_digests() {
         );
         assert_eq!(fnv1a(&snap), snap_digest, "{name}: snapshot digest moved");
     }
+}
+
+/// Run-length divisor for the scan-pipeline digest legs.
+const SCAN_DIVISOR: u64 = 16;
+
+/// A scan-pipeline leg: a policy, and the tracking source that replaces
+/// the policy's own when pinned. `FullVm` runs the forced promoter with
+/// cold victims; `Guided` and `AccessBit` run the checked one.
+type ScanLeg = (&'static str, Policy, Option<Tracking>);
+const SCAN_LEGS: [ScanLeg; 5] = [
+    ("vmm-exclusive", Policy::VmmExclusive, None),
+    ("coordinated", Policy::HeteroCoordinated, None),
+    (
+        "coordinated/access-bit",
+        Policy::HeteroCoordinated,
+        Some(Tracking::AccessBit),
+    ),
+    (
+        "vmm-exclusive/access-bit",
+        Policy::VmmExclusive,
+        Some(Tracking::AccessBit),
+    ),
+    (
+        "vmm-exclusive/guided",
+        Policy::VmmExclusive,
+        Some(Tracking::Guided),
+    ),
+];
+
+/// The config variants every scan leg runs under. `heavy-faults` keeps
+/// the default config and arms an injector instead (see `scan_sim`).
+const SCAN_VARIANTS: [&str; 8] = [
+    "default",
+    "unguided",
+    "fixed-interval",
+    "nvm-write-aware",
+    "optane-write-aware",
+    "bare-metal",
+    "three-tier",
+    "heavy-faults",
+];
+
+/// One scan-pipeline leg under one variant, with tracing and telemetry
+/// on, and its workload's epoch count. The A/D legs run nginx (many
+/// one-page anon VMAs, so the sweep window wraps), the others graphchi.
+fn scan_sim(leg: &ScanLeg, variant: &str) -> (SingleVmSim<AppWorkload>, u64) {
+    let (_, policy, tracking) = *leg;
+    let base = SimConfig {
+        // Large enough that no leg's trace wraps.
+        trace_events: 1 << 14,
+        ..SimConfig::paper_default()
+            .with_capacity_ratio(1, 4)
+            .with_seed(42)
+            .with_telemetry(true)
+            .with_tracking(tracking)
+    };
+    let cfg = match variant {
+        "default" | "heavy-faults" => base,
+        "unguided" => SimConfig {
+            guided_tracking: false,
+            ..base
+        },
+        "fixed-interval" => SimConfig {
+            adaptive_interval: false,
+            ..base
+        },
+        "nvm-write-aware" => SimConfig {
+            nvm_slow: true,
+            write_aware: true,
+            ..base
+        },
+        "optane-write-aware" => SimConfig {
+            write_aware: true,
+            ..base.with_tier_profile(Some(TierProfile::OptaneDc))
+        },
+        "bare-metal" => SimConfig {
+            bare_metal: true,
+            ..base
+        },
+        "three-tier" => base.with_medium_bytes(2 * GB),
+        other => panic!("unknown scan variant {other}"),
+    };
+    let mut spec = if tracking == Some(Tracking::AccessBit) {
+        apps::nginx()
+    } else {
+        apps::graphchi()
+    };
+    spec.total_instructions /= SCAN_DIVISOR;
+    let epochs = spec.epochs();
+    let workload = AppWorkload::new(spec, cfg.page_size, cfg.scale);
+    let mut sim = SingleVmSim::new(cfg, policy, workload);
+    if variant == "heavy-faults" {
+        // The engine never draws `FaultPlan::heavy`'s own `guest_crash`
+        // (only `FaultInjector::crash_guest` callers do), so a
+        // persist-crash rate makes `recover` reset the scan state mid-run.
+        sim.set_fault_injector(FaultInjector::new(FaultPlan {
+            guest_crash_persist: 0.05,
+            ..FaultPlan::heavy(7)
+        }));
+    }
+    (sim, epochs)
+}
+
+/// Per scan leg and variant: FNV-1a digests of the report JSON, the event
+/// log, the telemetry snapshot and the snapshot at half run. They pin each
+/// tracking source's cadence, candidates, rank, promoter and accounting
+/// on branches perfbench's goldens never reach.
+type ScanDigest = (&'static str, &'static str, [u64; 4]);
+#[rustfmt::skip]
+const SCAN_DIGESTS: [ScanDigest; 40] = [
+    ("vmm-exclusive", "default", [0x98c9_1d60_bcf6_7ae0, 0x22b5_cb6f_cf21_5d22, 0x8ff0_6981_bf85_df77, 0x16b2_0e3a_cce3_7402]),
+    ("vmm-exclusive", "unguided", [0x98c9_1d60_bcf6_7ae0, 0x22b5_cb6f_cf21_5d22, 0x8ff0_6981_bf85_df77, 0x58ce_d831_3c56_48fd]),
+    ("vmm-exclusive", "fixed-interval", [0x98c9_1d60_bcf6_7ae0, 0x22b5_cb6f_cf21_5d22, 0x8ff0_6981_bf85_df77, 0x7b20_4fb9_edba_63a3]),
+    ("vmm-exclusive", "nvm-write-aware", [0x5605_611e_8979_ff9a, 0xac48_5cd3_af09_db54, 0xafe1_698c_9d23_0f2c, 0x0a7a_2f59_91fc_d33d]),
+    ("vmm-exclusive", "optane-write-aware", [0xbff8_91ae_7711_7e21, 0x55c0_e311_66d2_a867, 0x2f1b_c24b_755d_82f1, 0xa871_2d11_30fd_48b0]),
+    ("vmm-exclusive", "bare-metal", [0x386f_598a_24eb_1144, 0xf21e_e1b6_b41e_6490, 0xddfe_c2dc_628b_1f74, 0x3e6d_a794_79cb_e6e6]),
+    ("vmm-exclusive", "three-tier", [0x8f01_19e2_79df_e172, 0xa0c0_e787_a07e_9021, 0xefef_154b_f472_47b8, 0xc562_07f6_1c29_e18f]),
+    ("vmm-exclusive", "heavy-faults", [0x48f8_f28f_7d5b_b497, 0x56d7_5805_193b_a024, 0xd63b_f143_ccbb_4ad7, 0xa36e_13a3_4cbd_289c]),
+    ("coordinated", "default", [0xefc2_02f6_0bef_89c2, 0x3d60_fae1_7ac0_76a1, 0xf918_7a5c_d7af_e8c4, 0x6432_680c_1a13_a6dd]),
+    ("coordinated", "unguided", [0x92d8_7029_dd98_297e, 0xa957_bb4a_ed43_545d, 0x64d8_4989_92e6_6c8e, 0x4e30_97d2_95bf_bed3]),
+    ("coordinated", "fixed-interval", [0x36ef_8933_3a88_ecc0, 0x3a05_797a_1351_c0b2, 0x35d1_517d_975c_042c, 0x732d_8ae3_1c05_fd39]),
+    ("coordinated", "nvm-write-aware", [0xc54a_3a01_427e_e47a, 0x1fca_1ba2_2e85_920a, 0x6e5f_5b31_ffc1_7cfc, 0xbc64_6321_1977_129d]),
+    ("coordinated", "optane-write-aware", [0x6203_9453_6ef3_4653, 0x0954_f121_6f0c_5788, 0x0cd2_8e5f_9cf8_a453, 0x712a_944f_cddd_040c]),
+    ("coordinated", "bare-metal", [0xde54_4c81_b0aa_5c00, 0x9d72_156f_8785_8e89, 0x7b99_bd5e_7303_cc19, 0x3351_bf78_ac4f_6876]),
+    ("coordinated", "three-tier", [0xe0e6_6cd3_df27_18ee, 0x70ff_bbe2_d3f7_16f3, 0xf8d7_b136_de1e_6ba8, 0x37ac_d45c_eb03_9101]),
+    ("coordinated", "heavy-faults", [0x0369_8955_42ce_1e09, 0x9e93_2cbb_f51e_7215, 0x452d_56de_c04a_ac7c, 0xe102_606c_4a3a_f032]),
+    ("coordinated/access-bit", "default", [0xfd3c_2ad7_a1f1_0ffb, 0x6be3_e455_b3a5_aad4, 0x3eec_fdd1_3597_33eb, 0x6cb3_2170_b5bd_50ea]),
+    ("coordinated/access-bit", "unguided", [0xfd3c_2ad7_a1f1_0ffb, 0x6be3_e455_b3a5_aad4, 0x3eec_fdd1_3597_33eb, 0x16e3_9d8a_7166_4f67]),
+    ("coordinated/access-bit", "fixed-interval", [0x1ba1_cc76_efc8_5d40, 0x1ac8_7dfc_54fc_d452, 0x65ad_785b_d4fd_4c32, 0xab6a_361f_a85b_a069]),
+    ("coordinated/access-bit", "nvm-write-aware", [0xfd3c_2ad7_a1f1_0ffb, 0x6be3_e455_b3a5_aad4, 0x3eec_fdd1_3597_33eb, 0xf420_45c2_cca0_715b]),
+    ("coordinated/access-bit", "optane-write-aware", [0xfd3c_2ad7_a1f1_0ffb, 0x6be3_e455_b3a5_aad4, 0x3eec_fdd1_3597_33eb, 0xe372_62ce_dce5_1a20]),
+    ("coordinated/access-bit", "bare-metal", [0xccf3_3d35_43ce_2029, 0x1e2c_7dec_a90c_5f2f, 0x2661_da14_51df_62bb, 0x4878_b66f_24e1_9db3]),
+    ("coordinated/access-bit", "three-tier", [0xfd3c_2ad7_a1f1_0ffb, 0x6be3_e455_b3a5_aad4, 0x3eec_fdd1_3597_33eb, 0x603f_e48f_d3bc_e257]),
+    ("coordinated/access-bit", "heavy-faults", [0xe45e_cca4_d45c_ea4b, 0x0fb8_7b1d_018f_e49c, 0xabac_71f5_9207_8944, 0x8f27_5591_b985_bc54]),
+    ("vmm-exclusive/access-bit", "default", [0x950b_c4e1_f49c_5da6, 0x8eb9_391f_95a6_7437, 0x8f9f_496b_7686_7c80, 0x6dc1_06d9_a32f_40c9]),
+    ("vmm-exclusive/access-bit", "unguided", [0x950b_c4e1_f49c_5da6, 0x8eb9_391f_95a6_7437, 0x8f9f_496b_7686_7c80, 0xa40d_3692_020a_67b0]),
+    ("vmm-exclusive/access-bit", "fixed-interval", [0xc97e_5e04_56b6_b323, 0xc606_0a4f_c623_7621, 0x74ca_395d_6075_3638, 0x2abf_2ba8_82e6_d018]),
+    ("vmm-exclusive/access-bit", "nvm-write-aware", [0x95e6_ddc3_9405_7517, 0x4822_67b1_044e_a7c6, 0x61b1_0162_bf95_be49, 0x9064_e145_4686_6a9c]),
+    ("vmm-exclusive/access-bit", "optane-write-aware", [0x5359_0892_fd12_1fc4, 0xaf68_6cc5_2570_d4ed, 0xcbc2_e3cd_b9e1_72f9, 0x5a90_978e_6e0b_9dfb]),
+    ("vmm-exclusive/access-bit", "bare-metal", [0x05ab_ff2d_72cd_98fc, 0x3099_fe14_e121_8e22, 0x2e2e_46b4_5b83_5920, 0xd134_cc11_0a4b_8af5]),
+    ("vmm-exclusive/access-bit", "three-tier", [0x950b_c4e1_f49c_5da6, 0x8eb9_391f_95a6_7437, 0x8f9f_496b_7686_7c80, 0xdab2_dd65_ff18_aa50]),
+    ("vmm-exclusive/access-bit", "heavy-faults", [0xd97f_9738_cc8f_5c3d, 0x49a7_f132_17c9_a877, 0x2eea_d2a1_c1bf_b8d1, 0x2b56_45e3_6957_d501]),
+    ("vmm-exclusive/guided", "default", [0xfaa0_03f2_d3a4_8c8b, 0xde5c_38de_7fe4_2fc3, 0x0b54_8c9d_0c3f_6b09, 0xcb9f_4778_901e_d8f5]),
+    ("vmm-exclusive/guided", "unguided", [0xca7a_5927_1313_a17b, 0x8a0a_9aa7_9472_42d6, 0xfe89_3998_06a3_213c, 0xa4ca_65a5_afde_20cf]),
+    ("vmm-exclusive/guided", "fixed-interval", [0xfaa0_03f2_d3a4_8c8b, 0xde5c_38de_7fe4_2fc3, 0x0b54_8c9d_0c3f_6b09, 0xf878_4d4f_b8a6_5768]),
+    ("vmm-exclusive/guided", "nvm-write-aware", [0xf31d_c628_54fb_fdb7, 0xaaeb_643e_74a2_51c2, 0x453c_103b_81ff_4c37, 0x477c_b1e5_88e2_dca9]),
+    ("vmm-exclusive/guided", "optane-write-aware", [0xc3f6_61b9_16cd_3603, 0x2f47_e90d_5638_0687, 0x2ba2_776f_07a3_4c05, 0x5828_15d3_7f20_2b25]),
+    ("vmm-exclusive/guided", "bare-metal", [0x45f0_d712_0c30_b046, 0x3372_2806_b933_51af, 0x5a92_09d4_95d4_3892, 0x8ca9_8152_ac3a_48ed]),
+    ("vmm-exclusive/guided", "three-tier", [0xfaa0_03f2_d3a4_8c8b, 0xde5c_38de_7fe4_2fc3, 0x0b54_8c9d_0c3f_6b09, 0xba7c_ec5f_0b44_6e64]),
+    ("vmm-exclusive/guided", "heavy-faults", [0xb991_d6e2_e658_b108, 0x8fb6_9a5d_e51c_8932, 0x0aec_ac3e_77a2_e220, 0xbdc6_f6f3_cf2b_ef70]),
+];
+
+#[test]
+fn scan_pipeline_matches_recorded_digests() {
+    let hex = |d: u64| {
+        format!(
+            "0x{:04x}_{:04x}_{:04x}_{:04x}",
+            d >> 48,
+            (d >> 32) & 0xffff,
+            (d >> 16) & 0xffff,
+            d & 0xffff
+        )
+    };
+    let mut moved = Vec::new();
+    let mut unreached = Vec::new();
+    for leg in &SCAN_LEGS {
+        let (leg_name, policy, tracking) = *leg;
+        for variant in SCAN_VARIANTS {
+            let name = format!("{leg_name}/{variant}");
+            let (mut sim, epochs) = scan_sim(leg, variant);
+            let mut steps = 0u64;
+            let mut snap = None;
+            while sim.step() {
+                steps += 1;
+                if steps == epochs / 2 {
+                    snap = Some(sim.save());
+                }
+            }
+            let snap = snap.unwrap_or_else(|| panic!("{name}: run ended before half way"));
+            // Reach checks, reported after the digests so a moved row is
+            // always printed for re-recording.
+            if variant == "heavy-faults" {
+                if sim.recoveries() == 0 {
+                    unreached.push(format!("{name}: no crash reset the scan state"));
+                }
+                let faults = sim.fault_injector().expect("armed").trace().to_text();
+                let checked = tracking.unwrap_or(policy.tracking()) != Tracking::FullVm;
+                if checked && !faults.contains("guest/migrate") {
+                    unreached.push(format!("{name}: no transient failure reached the promoter"));
+                }
+            }
+            let log = sim.events().expect("tracing is on");
+            if log.dropped() > 0 {
+                unreached.push(format!("{name}: the event log wrapped"));
+            }
+            let text: String = log.iter().map(|e| format!("{e}\n")).collect();
+            let telemetry = sim.telemetry().expect("telemetry is on").snapshot_json();
+            let got = [
+                fnv1a(sim.report().to_json().as_bytes()),
+                fnv1a(text.as_bytes()),
+                fnv1a(telemetry.as_bytes()),
+                fnv1a(&snap),
+            ];
+            let want = SCAN_DIGESTS
+                .iter()
+                .find(|row| row.0 == leg_name && row.1 == variant)
+                .map(|row| row.2);
+            if want != Some(got) {
+                moved.push(format!(
+                    "    (\"{leg_name}\", \"{variant}\", [{}, {}, {}, {}]),",
+                    hex(got[0]),
+                    hex(got[1]),
+                    hex(got[2]),
+                    hex(got[3])
+                ));
+            }
+        }
+    }
+    assert!(moved.is_empty(), "scan digests moved:\n{}", moved.join("\n"));
+    assert!(unreached.is_empty(), "{}", unreached.join("\n"));
 }
 
 #[test]

@@ -2,20 +2,24 @@
 //!
 //! Software hotness tracking (§2.3) periodically scans page-table access
 //! bits into a per-page history, then promotes pages whose history shows
-//! sustained use and demotes pages that went cold. Two scan disciplines are
-//! provided:
+//! sustained use and demotes pages that went cold. Three scan disciplines
+//! are provided:
 //!
 //! * [`HotnessTracker::scan_full`] — the **VMM-exclusive** (HeteroVisor)
 //!   discipline: walk the *entire* guest's resident memory in batches,
 //!   blind to what the pages are used for;
 //! * [`HotnessTracker::scan_tracked`] — the **coordinated** discipline
 //!   (§4.1): walk only the VMA ranges on the guest-supplied tracking list,
-//!   skipping page types on the exception list.
+//!   skipping page types on the exception list;
+//! * [`HotnessTracker::scan_harvest_into`] — **page-table A/D tracking**
+//!   (HMM-V-style): consume a harvest of real accessed/dirty bits, feeding
+//!   the write history as well as the access history.
 //!
-//! The tracker does not know wall-clock time or workload internals; whether
-//! a page "was touched since the last scan" is answered by a
-//! [`TouchOracle`], which the simulation engine implements from the
-//! workload's access model (and tests implement deterministically).
+//! The tracker does not know wall-clock time or workload internals. For
+//! the first two, whether a page "was touched since the last scan" is
+//! answered by a [`TouchOracle`], which the simulation engine implements
+//! from the workload's access model (and tests implement
+//! deterministically); the A/D harvest carries its own bits.
 
 use hetero_guest::page::{Gfn, Page, PageType};
 use hetero_guest::GuestKernel;
