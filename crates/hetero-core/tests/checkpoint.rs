@@ -755,3 +755,37 @@ fn truncated_and_garbage_snapshots_are_rejected_cleanly() {
     let err = must_fail(SingleVmSim::restore(&padded), "trailing bytes");
     assert!(err.to_string().contains("trailing"), "{err}");
 }
+
+/// FNV-1a of the `Display` strings `SingleVmSim::restore` returns for every
+/// 1999th proper prefix of a half-run snapshot (150 epochs, with the
+/// persistence domain armed) and for its last 64, recorded with the
+/// per-field decoders that the one-pass array codecs replaced. Every codec
+/// of the engine, kernel, tracker and persistence domain must run out of
+/// bytes at the same read.
+const PREFIX_ERROR_DIGEST: u64 = 0x0788_f1a3_20ab_c6b6;
+
+#[test]
+fn truncated_snapshot_errors_match_the_pinned_digest() {
+    let opts = quick_with_seed(42).with_persist(FlushPolicy::EpochBatched);
+    let mut sim = single_sim(&opts, Policy::HeteroCoordinated);
+    for _ in 0..75 {
+        assert!(sim.step());
+    }
+    let bytes = sim.save();
+    let cuts = (0..bytes.len())
+        .step_by(1999)
+        .chain(bytes.len() - 64..bytes.len());
+    let mut seen = String::new();
+    for cut in cuts {
+        let err = must_fail(SingleVmSim::restore(&bytes[..cut]), "truncated snapshot");
+        seen.push_str(&err.to_string());
+        seen.push('\n');
+    }
+    let digest = fnv1a(seen.as_bytes());
+    assert_eq!(
+        digest,
+        PREFIX_ERROR_DIGEST,
+        "restore errors on {} bytes moved: {digest:#018x}",
+        bytes.len()
+    );
+}

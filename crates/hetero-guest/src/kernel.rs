@@ -1462,14 +1462,21 @@ impl GuestKernel {
 
 hetero_sim::impl_snap!(struct GuestConfig { frames, cpus, page_size });
 
+// Decode rejects LRU list ends and page-cache entries past the memmap,
+// which would otherwise restore and then panic on first use.
 hetero_sim::impl_snap!(struct GuestKernel {
     config, mm, buddies, pcp, lru, space, pt, cache, skbuff, fs_meta,
     stats, swap, ballooned, pt_backing, next_cpu, migrations
+} validate |k: &GuestKernel| {
+    let frames = k.mm.total_frames();
+    k.lru.check_frames(frames)?;
+    k.cache.check_frames(frames)
 });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetero_sim::snap::SnapshotError;
 
     fn small_kernel() -> GuestKernel {
         GuestKernel::new(GuestConfig {
@@ -1477,6 +1484,102 @@ mod tests {
             cpus: 2,
             page_size: 4096,
         })
+    }
+
+    /// A kernel with heap pages on FastMem and cached file pages on
+    /// SlowMem, and its encoding.
+    fn kernel_bytes() -> (GuestKernel, Vec<u8>) {
+        use hetero_sim::snap::{Snap, SnapWriter};
+        let mut k = small_kernel();
+        k.mmap_heap(8, std::iter::repeat(200), &[MemKind::Fast])
+            .unwrap();
+        for off in 0..4 {
+            k.page_in(FileId(3), off, 50, &[MemKind::Slow]).unwrap();
+        }
+        let mut w = SnapWriter::new();
+        k.snap(&mut w);
+        (k, w.into_bytes())
+    }
+
+    /// Decodes `bytes` with the `u64` at `at` replaced by `value`.
+    fn decode_with(bytes: &[u8], at: usize, value: u64) -> Result<GuestKernel, SnapshotError> {
+        use hetero_sim::snap::{Snap, SnapReader};
+        let mut mutant = bytes.to_vec();
+        mutant[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let mut r = SnapReader::new(&mutant);
+        let k = GuestKernel::unsnap(&mut r)?;
+        r.finish().map(|()| k)
+    }
+
+    #[test]
+    fn decode_rejects_lru_ends_past_the_memmap() {
+        use hetero_sim::snap::{Snap, SnapWriter};
+        let (k, bytes) = kernel_bytes();
+        let frames = k.memmap().total_frames();
+        let mut w = SnapWriter::new();
+        k.config.snap(&mut w);
+        k.mm.snap(&mut w);
+        k.buddies.snap(&mut w);
+        k.pcp.snap(&mut w);
+        let mut at = w.len();
+        // Twelve lists of (head, tail, len); a present end is a 1 byte and
+        // a u64 frame. Mutate the first present head and tail.
+        let mut ends = Vec::new();
+        for _list in 0..12 {
+            for _end in 0..2 {
+                if bytes[at] == 1 {
+                    ends.push(at + 1);
+                    at += 9;
+                } else {
+                    at += 1;
+                }
+            }
+            at += 8;
+        }
+        assert!(ends.len() >= 2, "the heap pages sit on a list");
+        for (end, name) in [(ends[0], "head"), (ends[1], "tail")] {
+            decode_with(&bytes, end, frames - 1).expect("the last frame is in range");
+            match decode_with(&bytes, end, frames) {
+                Err(SnapshotError::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("LRU list {name}")), "{msg}");
+                    assert!(msg.contains("past the memmap's 320 frames"), "{msg}");
+                }
+                other => panic!("{name} past the memmap: {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_page_cache_frames_past_the_memmap() {
+        use hetero_sim::snap::{Snap, SnapWriter};
+        let (k, bytes) = kernel_bytes();
+        let frames = k.memmap().total_frames();
+        let mut w = SnapWriter::new();
+        k.config.snap(&mut w);
+        k.mm.snap(&mut w);
+        k.buddies.snap(&mut w);
+        k.pcp.snap(&mut w);
+        k.lru.snap(&mut w);
+        k.space.snap(&mut w);
+        k.pt.snap(&mut w);
+        let at = w.len();
+        // One file: its count and id, then the slots' base, count and
+        // first slot.
+        let first_slot = at + 8 * 4;
+        assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes(), "one cached file");
+        let cached = u64::from_le_bytes(bytes[first_slot..first_slot + 8].try_into().unwrap());
+        assert_eq!(
+            k.page_cache().iter().next(),
+            Some((FileId(3), 0, Gfn(cached)))
+        );
+        decode_with(&bytes, first_slot, frames - 1).expect("the last frame is in range");
+        match decode_with(&bytes, first_slot, frames) {
+            Err(SnapshotError::Corrupt(msg)) => {
+                assert!(msg.contains("(file 3, offset 0)"), "{msg}");
+                assert!(msg.contains("past the memmap's 320 frames"), "{msg}");
+            }
+            other => panic!("cached frame past the memmap: {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! membership costs no allocation and removal is O(1), like the kernel.
 
 use hetero_mem::MemKind;
+use hetero_sim::snap::SnapshotError;
 
 use crate::memmap::MemMap;
 use crate::page::{Gfn, Page, PageFlags, PageType};
@@ -413,6 +414,28 @@ impl LruRegistry {
     /// Cumulative transition counts since creation.
     pub fn transitions(&self) -> &LruTransitionStats {
         &self.transitions
+    }
+
+    /// Restore-time check: every list head and tail names one of the
+    /// memmap's `frames` frames. One look per list.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] naming the first end past the memmap.
+    pub(crate) fn check_frames(&self, frames: u64) -> Result<(), SnapshotError> {
+        let ends = self.lists.iter().flatten().flat_map(|split| {
+            [&split.active, &split.inactive]
+                .into_iter()
+                .flat_map(|list| [("head", list.head), ("tail", list.tail)])
+        });
+        for (end, gfn) in ends {
+            if let Some(g) = gfn.filter(|g| g.0 >= frames) {
+                return Err(SnapshotError::corrupt(format!(
+                    "LRU list {end} {g} is past the memmap's {frames} frames"
+                )));
+            }
+        }
+        Ok(())
     }
 }
 

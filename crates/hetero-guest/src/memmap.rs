@@ -10,7 +10,9 @@ use hetero_mem::heatgen::ColdLedger;
 use hetero_mem::kind::KindMap;
 use hetero_mem::MemKind;
 
-use crate::page::{Gfn, Page, PageFlags, PageType, RMap, MAX_FRAMES};
+use hetero_sim::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
+
+use crate::page::{Gfn, Page, PageFlags, PageType, RMap, MAX_FRAMES, NIL};
 
 /// Aggregate residency of one `(page type, tier)` bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -418,14 +420,113 @@ impl MemMap {
 
 hetero_sim::impl_snap!(struct Residency { pages, heat, write_heat });
 
-/// Each descriptor is encoded followed by its reverse map, then the tier
-/// layout, residency and ledger (the `SNAP_VERSION` 2 layout).
-impl hetero_sim::snap::Snap for MemMap {
-    fn snap(&self, w: &mut hetero_sim::snap::SnapWriter) {
+/// One frame's encoding: the descriptor's flags (`u16`), page-type tag,
+/// tier tag, heat and write heat; each LRU link as a presence byte and, if
+/// present, its `u64` frame; then the reverse map's tag (0 none, 1 anon,
+/// 2 file) and its `u64` payload words. The longest frame takes 41 bytes.
+const MAX_FRAME_BYTES: usize = 6 + 2 * 9 + 17;
+/// The shortest: no links and no reverse map.
+const MIN_FRAME_BYTES: usize = 9;
+
+/// Writes one frame's encoding into the zeroed `out` (a
+/// [`SnapWriter::put_record`] window), returning its length; zero bytes
+/// (absent links, no reverse map) are left as they are.
+#[inline(always)]
+fn encode_frame(page: &Page, rmap: RMap, out: &mut [u8; MAX_FRAME_BYTES]) -> usize {
+    out[..2].copy_from_slice(&page.flags.bits().to_le_bytes());
+    out[2] = page.page_type.index() as u8;
+    out[3] = page.kind.tier();
+    out[4] = page.heat;
+    out[5] = page.write_heat;
+    let mut n = 6;
+    for raw in [page.lru_prev, page.lru_next] {
+        if raw == NIL {
+            n += 1;
+        } else {
+            out[n] = 1;
+            out[n + 1..n + 9].copy_from_slice(&u64::from(raw).to_le_bytes());
+            n += 9;
+        }
+    }
+    match rmap {
+        RMap::None => n + 1,
+        RMap::Anon(vpn) => {
+            out[n] = 1;
+            out[n + 1..n + 9].copy_from_slice(&vpn.to_le_bytes());
+            n + 9
+        }
+        RMap::File(file, offset) => {
+            out[n] = 2;
+            out[n + 1..n + 9].copy_from_slice(&file.to_le_bytes());
+            out[n + 9..n + 17].copy_from_slice(&offset.to_le_bytes());
+            n + 17
+        }
+    }
+}
+
+/// Reads one LRU link: a presence byte, then a frame below `frames`.
+#[inline(always)]
+fn take_link(r: &mut SnapReader<'_>, frames: u64) -> Result<u32, SnapshotError> {
+    match r.take_u8()? {
+        0 => Ok(NIL),
+        1 => match r.take_u64()? {
+            g if g < frames => Ok(g as u32),
+            g => Err(link_past_end(g, frames)),
+        },
+        other => Err(SnapshotError::bad_presence(other)),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn link_past_end(g: u64, frames: u64) -> SnapshotError {
+    SnapshotError::corrupt(format!(
+        "LRU link {} is past the memmap's {frames} frames",
+        Gfn(g)
+    ))
+}
+
+/// Reads one frame written by [`encode_frame`]. Each field is read and
+/// checked in order, so the first bad byte or missing byte decides the
+/// error.
+#[inline(always)]
+fn decode_frame(r: &mut SnapReader<'_>, frames: u64) -> Result<(Page, RMap), SnapshotError> {
+    let flags = PageFlags::from_bits(r.take_u16()?);
+    let tag = r.take_u8()?;
+    let Some(&page_type) = PageType::ALL.get(usize::from(tag)) else {
+        return Err(SnapshotError::bad_tag("PageType", tag));
+    };
+    let tag = r.take_u8()?;
+    let Some(kind) = MemKind::from_tier(tag) else {
+        return Err(SnapshotError::bad_tag("MemKind", tag));
+    };
+    let page = Page {
+        flags,
+        page_type,
+        kind,
+        heat: r.take_u8()?,
+        write_heat: r.take_u8()?,
+        lru_prev: take_link(r, frames)?,
+        lru_next: take_link(r, frames)?,
+    };
+    let rmap = match r.take_u8()? {
+        0 => RMap::None,
+        1 => RMap::Anon(r.take_u64()?),
+        2 => RMap::File(r.take_u64()?, r.take_u64()?),
+        tag => return Err(SnapshotError::bad_tag("RMap", tag)),
+    };
+    Ok((page, rmap))
+}
+
+/// The `SNAP_VERSION` 2 layout: the frame count, each frame's descriptor
+/// and reverse map ([`encode_frame`]), then the tier layout, residency and
+/// ledger. Both directions make one pass over the descriptor and reverse
+/// map arrays.
+impl Snap for MemMap {
+    fn snap(&self, w: &mut SnapWriter) {
         w.put_usize(self.pages.len());
-        for (page, rmap) in self.pages.iter().zip(&self.rmap) {
-            page.snap_into(w);
-            rmap.snap(w);
+        for (page, &rmap) in self.pages.iter().zip(&self.rmap) {
+            w.put_record(|out| encode_frame(page, rmap, out));
         }
         self.ranges.snap(w);
         self.residency.snap(w);
@@ -434,26 +535,22 @@ impl hetero_sim::snap::Snap for MemMap {
 
     /// Rejects a frame count past [`MAX_FRAMES`] and any LRU link at or
     /// past the frame count as [`SnapshotError::Corrupt`].
-    ///
-    /// [`SnapshotError::Corrupt`]: hetero_sim::snap::SnapshotError::Corrupt
-    fn unsnap(
-        r: &mut hetero_sim::snap::SnapReader<'_>,
-    ) -> Result<Self, hetero_sim::snap::SnapshotError> {
-        use hetero_sim::snap::{Snap, SnapshotError};
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let frames = r.take_u64()?;
         if frames > MAX_FRAMES {
             return Err(SnapshotError::corrupt(format!(
                 "memmap of {frames} frames exceeds {MAX_FRAMES}"
             )));
         }
-        // One reservation per vector, capped by what the remaining bytes
+        // One reservation per array, capped by what the remaining bytes
         // can encode so a corrupt count cannot over-allocate.
-        let cap = (frames as usize).min(r.remaining() / Page::MIN_SNAP_BYTES);
+        let cap = (frames as usize).min(r.remaining() / MIN_FRAME_BYTES);
         let mut pages = Vec::with_capacity(cap);
         let mut rmap = Vec::with_capacity(cap);
         for _ in 0..frames {
-            pages.push(Page::unsnap_checked(r, frames)?);
-            rmap.push(RMap::unsnap(r)?);
+            let (page, map) = decode_frame(r, frames)?;
+            pages.push(page);
+            rmap.push(map);
         }
         Ok(MemMap {
             pages,
@@ -466,7 +563,7 @@ impl hetero_sim::snap::Snap for MemMap {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn mm() -> MemMap {
@@ -643,6 +740,86 @@ mod tests {
         let mut again = SnapWriter::new();
         back.snap(&mut again);
         assert_eq!(again.into_bytes(), bytes, "decode + encode is not the identity");
+    }
+
+    /// Each tag and presence byte of a memmap encoding, paired with the
+    /// first value its decoder rejects.
+    fn tag_bytes(bytes: &[u8]) -> Vec<(usize, u8)> {
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let mut out = Vec::new();
+        let mut at = 8;
+        for _ in 0..word(0) {
+            out.extend([(at + 2, PageType::COUNT as u8), (at + 3, 3)]);
+            at += 6;
+            for _link in 0..2 {
+                out.push((at, 2));
+                at += if bytes[at] == 1 { 9 } else { 1 };
+            }
+            out.push((at, 3));
+            at += [1, 9, 17][bytes[at] as usize];
+        }
+        let ranges = word(at);
+        at += 8;
+        for _ in 0..ranges {
+            out.push((at, 3));
+            at += 17;
+        }
+        at += PageType::COUNT * 3 * 24;
+        out.push((at, 2));
+        out
+    }
+
+    /// FNV-1a of the `Display` strings `decode` returns for every proper
+    /// prefix of `bytes`, then for each `(offset, value)` mutation.
+    pub(crate) fn error_digest<T, E: std::fmt::Display>(
+        bytes: &[u8],
+        mutations: &[(usize, Vec<u8>)],
+        decode: impl Fn(&[u8]) -> Result<T, E>,
+    ) -> u64 {
+        let mut seen = String::new();
+        let mut record = |input: &[u8]| {
+            match decode(input) {
+                Ok(_) => seen.push_str("ok"),
+                Err(e) => seen.push_str(&e.to_string()),
+            }
+            seen.push('\n');
+        };
+        for cut in 0..bytes.len() {
+            record(&bytes[..cut]);
+        }
+        for (at, value) in mutations {
+            let mut mutant = bytes.to_vec();
+            mutant[*at..*at + value.len()].copy_from_slice(value);
+            record(&mutant);
+        }
+        fnv1a(seen.as_bytes())
+    }
+
+    /// Recorded with the per-field decoder this one replaced; the
+    /// one-pass decoder must report exactly the same errors.
+    const MEMMAP_ERROR_DIGEST: u64 = 0x937c_0ae6_0748_c1b7;
+
+    #[test]
+    fn decode_errors_match_the_pinned_digest() {
+        let mut w = SnapWriter::new();
+        hand_built().snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut mutations: Vec<(usize, Vec<u8>)> = tag_bytes(&bytes)
+            .into_iter()
+            .map(|(at, v)| (at, vec![v]))
+            .collect();
+        assert_eq!(mutations.len(), 24 * 5 + 2 + 1);
+        // Frame 0's previous link, pointed one past the last frame.
+        mutations.push((8 + 6 + 1, 24u64.to_le_bytes().to_vec()));
+        let digest = error_digest(&bytes, &mutations, |b| {
+            let mut r = SnapReader::new(b);
+            let m = MemMap::unsnap(&mut r)?;
+            r.finish().map(|()| m)
+        });
+        assert_eq!(
+            digest, MEMMAP_ERROR_DIGEST,
+            "memmap decode errors moved: {digest:#018x}"
+        );
     }
 
     #[test]

@@ -145,6 +145,18 @@ impl PageFlags {
         PageFlags(0)
     }
 
+    /// The raw bits (the memmap snapshot's `u16`).
+    #[inline]
+    pub(crate) const fn bits(self) -> u16 {
+        self.0
+    }
+
+    /// Flags from raw bits, as [`PageFlags::bits`] returns them.
+    #[inline]
+    pub(crate) const fn from_bits(bits: u16) -> Self {
+        PageFlags(bits)
+    }
+
     /// True if every bit of `other` is set in `self`.
     #[inline]
     pub const fn contains(self, other: PageFlags) -> bool {
@@ -195,7 +207,7 @@ pub enum RMap {
 
 /// Nil value of a [`Page`]'s 32-bit LRU links. [`crate::memmap::MemMap`]
 /// bounds a guest to [`MAX_FRAMES`] frames, so no frame index reaches it.
-const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// Most frames one guest memmap may hold: LRU links are 32-bit frame
 /// indexes with `u32::MAX` reserved as the nil link.
@@ -206,7 +218,8 @@ pub const MAX_FRAMES: u64 = NIL as u64;
 ///
 /// The LRU links are 32-bit frame indexes, read and written through
 /// [`Page::lru_prev`] / [`Page::set_lru_prev`] and their `next`
-/// counterparts. The reverse map lives in a side table on the memmap
+/// counterparts; only the memmap's snapshot codec touches the raw values.
+/// The reverse map lives in a side table on the memmap
 /// ([`crate::memmap::MemMap::rmap`]), so the dense walks the audits and
 /// the persistence sweep make over every frame stay small.
 #[derive(Debug, Clone, Copy)]
@@ -227,9 +240,9 @@ pub struct Page {
     /// `heat`.
     pub write_heat: u8,
     /// LRU linkage: previous page on the list, [`NIL`] for none.
-    lru_prev: u32,
+    pub(crate) lru_prev: u32,
     /// LRU linkage: next page on the list, [`NIL`] for none.
-    lru_next: u32,
+    pub(crate) lru_next: u32,
 }
 
 #[inline]
@@ -301,6 +314,7 @@ impl Page {
     }
 }
 
+/// A frame number travels as its `u64`; arrays of them in one slice pass.
 impl hetero_sim::snap::Snap for Gfn {
     fn snap(&self, w: &mut hetero_sim::snap::SnapWriter) {
         w.put_u64(self.0);
@@ -310,72 +324,14 @@ impl hetero_sim::snap::Snap for Gfn {
     ) -> Result<Self, hetero_sim::snap::SnapshotError> {
         Ok(Gfn(r.take_u64()?))
     }
-}
-
-impl hetero_sim::snap::Snap for PageFlags {
-    fn snap(&self, w: &mut hetero_sim::snap::SnapWriter) {
-        w.put_u16(self.0);
+    fn snap_slice(items: &[Self], w: &mut hetero_sim::snap::SnapWriter) {
+        w.put_array(items, |g| g.0.to_le_bytes());
     }
-    fn unsnap(
+    fn unsnap_vec(
         r: &mut hetero_sim::snap::SnapReader<'_>,
-    ) -> Result<Self, hetero_sim::snap::SnapshotError> {
-        Ok(PageFlags(r.take_u16()?))
-    }
-}
-
-impl Page {
-    /// Fewest bytes one encoded descriptor and its reverse map take:
-    /// six fixed bytes, two link presence bytes and an rmap tag.
-    pub(crate) const MIN_SNAP_BYTES: usize = 9;
-
-    /// Encodes the descriptor: its public fields in declaration order,
-    /// then each link as an `Option<Gfn>`. The memmap appends the reverse
-    /// map after it.
-    pub(crate) fn snap_into(&self, w: &mut hetero_sim::snap::SnapWriter) {
-        use hetero_sim::snap::Snap;
-        self.flags.snap(w);
-        self.page_type.snap(w);
-        self.kind.snap(w);
-        w.put_u8(self.heat);
-        w.put_u8(self.write_heat);
-        for raw in [self.lru_prev, self.lru_next] {
-            if raw == NIL {
-                w.put_u8(0);
-            } else {
-                w.put_u8(1);
-                w.put_u64(raw as u64);
-            }
-        }
-    }
-
-    /// Decodes one descriptor written by [`Page::snap_into`].
-    ///
-    /// # Errors
-    ///
-    /// Any read error, or [`hetero_sim::snap::SnapshotError::Corrupt`] for
-    /// a bad tag or an LRU link at or past `frames` (at most
-    /// [`MAX_FRAMES`]).
-    pub(crate) fn unsnap_checked(
-        r: &mut hetero_sim::snap::SnapReader<'_>,
-        frames: u64,
-    ) -> Result<Self, hetero_sim::snap::SnapshotError> {
-        use hetero_sim::snap::{Snap, SnapshotError};
-        let checked = |link: Option<Gfn>| match link {
-            None => Ok(NIL),
-            Some(g) if g.0 < frames => Ok(g.0 as u32),
-            Some(g) => Err(SnapshotError::corrupt(format!(
-                "LRU link {g} is past the memmap's {frames} frames"
-            ))),
-        };
-        Ok(Page {
-            flags: Snap::unsnap(r)?,
-            page_type: Snap::unsnap(r)?,
-            kind: Snap::unsnap(r)?,
-            heat: r.take_u8()?,
-            write_heat: r.take_u8()?,
-            lru_prev: checked(Snap::unsnap(r)?)?,
-            lru_next: checked(Snap::unsnap(r)?)?,
-        })
+        len: usize,
+    ) -> Result<Vec<Self>, hetero_sim::snap::SnapshotError> {
+        r.take_array(len, |b| Gfn(u64::from_le_bytes(b)))
     }
 }
 
@@ -387,12 +343,6 @@ hetero_sim::impl_snap!(enum PageType {
     4 => NetBuf {},
     5 => PageTable {},
     6 => Dma {},
-});
-
-hetero_sim::impl_snap!(enum RMap {
-    0 => None {},
-    1 => Anon(vpn),
-    2 => File(file, offset),
 });
 
 #[cfg(test)]
@@ -407,6 +357,17 @@ mod tests {
             seen[t.index()] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn snapshot_tags_are_the_dense_indices() {
+        use hetero_sim::snap::{Snap, SnapWriter};
+        for (i, t) in PageType::ALL.into_iter().enumerate() {
+            assert_eq!(t.index(), i, "{t}");
+            let mut w = SnapWriter::new();
+            t.snap(&mut w);
+            assert_eq!(w.into_bytes(), [i as u8], "{t}");
+        }
     }
 
     #[test]

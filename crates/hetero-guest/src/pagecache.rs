@@ -9,6 +9,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use hetero_sim::snap::SnapshotError;
+
 use crate::page::Gfn;
 
 /// Identifier of an open file.
@@ -203,6 +205,23 @@ impl PageCache {
         self.files
             .iter()
             .flat_map(|(&f, slots)| slots.iter().map(move |(off, g)| (FileId(f), off, g)))
+    }
+
+    /// Restore-time check: every cached page names one of the memmap's
+    /// `frames` frames. One look per cached page.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] naming the first entry past the memmap.
+    pub(crate) fn check_frames(&self, frames: u64) -> Result<(), SnapshotError> {
+        match self.iter().find(|(_, _, g)| g.0 >= frames) {
+            Some((file, offset, g)) => Err(SnapshotError::corrupt(format!(
+                "page-cache entry (file {}, offset {offset}) holds {g}, past the memmap's \
+                 {frames} frames",
+                file.0
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Hit ratio since creation, `0.0` before any lookup.

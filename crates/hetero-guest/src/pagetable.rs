@@ -398,8 +398,6 @@ impl PageTable {
     }
 }
 
-hetero_sim::impl_snap!(struct Pte { gfn, accessed, dirty });
-
 /// Snapshot tag of an empty slot.
 const SLOT_EMPTY: u8 = 0;
 /// Snapshot tag of a slot holding the next level's table.
@@ -416,7 +414,8 @@ struct Tally {
 
 impl Table {
     /// Encodes the entry count, then per slot its tag and payload, then
-    /// `used`.
+    /// `used`. A leaf slot is one 11-byte record: the tag, the PTE's `u64`
+    /// frame, its accessed bit and its dirty bit.
     fn snap(&self, w: &mut SnapWriter) {
         w.put_usize(self.entries.len());
         for entry in &self.entries {
@@ -427,8 +426,11 @@ impl Table {
                     child.snap(w);
                 }
                 Entry::Leaf(pte) => {
-                    w.put_u8(SLOT_LEAF);
-                    pte.snap(w);
+                    let mut leaf = [SLOT_LEAF; 11];
+                    leaf[1..9].copy_from_slice(&pte.gfn.0.to_le_bytes());
+                    leaf[9] = u8::from(pte.accessed);
+                    leaf[10] = u8::from(pte.dirty);
+                    w.put_bytes(&leaf);
                 }
             }
         }
@@ -459,7 +461,11 @@ impl Table {
                 (SLOT_TABLE, 1..) => Entry::Table(Box::new(Table::unsnap(r, level - 1, tally)?)),
                 (SLOT_LEAF, 0) => {
                     tally.leaves += 1;
-                    Entry::Leaf(Pte::unsnap(r)?)
+                    Entry::Leaf(Pte {
+                        gfn: Gfn(r.take_u64()?),
+                        accessed: r.take_bool()?,
+                        dirty: r.take_bool()?,
+                    })
                 }
                 (tag, _) => {
                     return Err(SnapshotError::corrupt(format!(
@@ -824,6 +830,57 @@ mod tests {
         }
     }
 
+    /// Each slot tag and PTE bool of a page-table encoding, paired with the
+    /// first value its decoder rejects, and each table's entry count set
+    /// one short.
+    fn mutations(bytes: &[u8]) -> Vec<(usize, Vec<u8>)> {
+        fn table(bytes: &[u8], at: &mut usize, level: u32, out: &mut Vec<(usize, Vec<u8>)>) {
+            out.push((*at, (FANOUT as u64 - 1).to_le_bytes().to_vec()));
+            *at += 8;
+            for _ in 0..FANOUT {
+                let tag = bytes[*at];
+                out.push((*at, vec![if level == 0 { SLOT_TABLE } else { SLOT_LEAF }]));
+                *at += 1;
+                match tag {
+                    SLOT_TABLE => table(bytes, at, level - 1, out),
+                    SLOT_LEAF => {
+                        out.extend([(*at + 8, vec![2]), (*at + 9, vec![2])]);
+                        *at += 10;
+                    }
+                    _ => {}
+                }
+            }
+            *at += 8;
+        }
+        let mut out = Vec::new();
+        table(bytes, &mut 0, LEVELS - 1, &mut out);
+        out
+    }
+
+    /// Recorded with the decoder before its one-pass rewrite.
+    const PAGETABLE_ERROR_DIGEST: u64 = 0x73eb_6d78_6f63_c763;
+
+    #[test]
+    fn decode_errors_match_the_pinned_digest() {
+        let mut pt = PageTable::new();
+        for (i, vpn) in [0u64, 511, 512, 1 << 18, VPN_LIMIT - 1]
+            .into_iter()
+            .enumerate()
+        {
+            pt.map(vpn, Gfn(vpn ^ 0x5a5a));
+            pt.touch(vpn, i % 2 == 0);
+        }
+        pt.touch(511, true);
+        let bytes = encode(&pt);
+        let mutations = mutations(&bytes);
+        assert_eq!(mutations.len(), 10 * (FANOUT + 1) + 5 * 2);
+        let digest = crate::memmap::tests::error_digest(&bytes, &mutations, decode);
+        assert_eq!(
+            digest, PAGETABLE_ERROR_DIGEST,
+            "page-table decode errors moved: {digest:#018x}"
+        );
+    }
+
     #[test]
     fn short_root_is_rejected() {
         // Regression: a 3-entry root decoded, and the next translate past
@@ -900,7 +957,11 @@ mod tests {
             dirty: false,
         };
         let mut w = SnapWriter::new();
-        one_slot_table(&mut w, SLOT_LEAF, |w| pte.snap(w));
+        one_slot_table(&mut w, SLOT_LEAF, |w| {
+            w.put_u64(pte.gfn.0);
+            w.put_bool(pte.accessed);
+            w.put_bool(pte.dirty);
+        });
         w.put_u64(1);
         w.put_u64(1);
         assert_corrupt(&w.into_bytes(), "leaf in the root");

@@ -41,6 +41,18 @@ impl MemKind {
         }
     }
 
+    /// The kind of tier rank `tier`, or `None` past the slowest: the
+    /// inverse of [`MemKind::tier`], which is also the kind's snapshot tag.
+    #[inline]
+    pub const fn from_tier(tier: u8) -> Option<MemKind> {
+        match tier {
+            0 => Some(MemKind::Fast),
+            1 => Some(MemKind::Medium),
+            2 => Some(MemKind::Slow),
+            _ => None,
+        }
+    }
+
     /// True if `self` is a strictly faster tier than `other`.
     #[inline]
     pub const fn is_faster_than(self, other: MemKind) -> bool {
@@ -155,25 +167,19 @@ impl<T> std::ops::IndexMut<MemKind> for KindMap<T> {
     }
 }
 
+/// A kind travels as its tier rank.
 impl hetero_sim::snap::Snap for MemKind {
+    #[inline]
     fn snap(&self, w: &mut hetero_sim::snap::SnapWriter) {
-        w.put_u8(match self {
-            MemKind::Fast => 0,
-            MemKind::Medium => 1,
-            MemKind::Slow => 2,
-        });
+        w.put_u8(self.tier());
     }
+    #[inline]
     fn unsnap(
         r: &mut hetero_sim::snap::SnapReader<'_>,
     ) -> Result<Self, hetero_sim::snap::SnapshotError> {
-        match r.take_u8()? {
-            0 => Ok(MemKind::Fast),
-            1 => Ok(MemKind::Medium),
-            2 => Ok(MemKind::Slow),
-            other => Err(hetero_sim::snap::SnapshotError::corrupt(format!(
-                "invalid MemKind tag {other}"
-            ))),
-        }
+        let tag = r.take_u8()?;
+        MemKind::from_tier(tag)
+            .ok_or_else(|| hetero_sim::snap::SnapshotError::bad_tag("MemKind", tag))
     }
 }
 
@@ -222,7 +228,9 @@ mod tests {
             if let Some(faster) = k.next_faster() {
                 assert_eq!(faster.next_slower(), Some(k));
             }
+            assert_eq!(MemKind::from_tier(k.tier()), Some(k));
         }
+        assert_eq!(MemKind::from_tier(3), None);
     }
 
     #[test]

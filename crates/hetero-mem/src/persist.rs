@@ -296,19 +296,27 @@ hetero_sim::impl_snap!(enum FlushPolicy {
     3 => OnEvict {},
 });
 
-hetero_sim::impl_snap!(enum FrameState {
-    0 => Dirty { clean_epochs },
-    1 => Flushed {},
-});
-
 /// Wire format: the policy, `states` as a length and then its `(frame,
 /// state)` pairs — the same bytes a `BTreeMap<u64, FrameState>` encodes
-/// to — and the four counters. The dirty count is recomputed on decode,
-/// not stored. Decoding rejects frames that are not strictly ascending.
+/// to, a frame being a `u64` and a state a tag byte (0 dirty, 1 flushed)
+/// with a dirty frame's `u32` clean-epoch count after it — and the four
+/// counters. Both directions make one pass over `states`; the dirty count
+/// is recomputed on decode, not stored. Decoding rejects frames that are
+/// not strictly ascending, once the whole array has been read.
 impl Snap for PersistDomain {
     fn snap(&self, w: &mut SnapWriter) {
         self.policy.snap(w);
-        self.states.snap(w);
+        w.put_usize(self.states.len());
+        for &(frame, state) in &self.states {
+            w.put_u64(frame);
+            match state {
+                FrameState::Dirty { clean_epochs } => {
+                    w.put_u8(0);
+                    w.put_u32(clean_epochs);
+                }
+                FrameState::Flushed => w.put_u8(1),
+            }
+        }
         self.flushes.snap(w);
         self.fences.snap(w);
         self.evict_flushes.snap(w);
@@ -316,16 +324,30 @@ impl Snap for PersistDomain {
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let policy = FlushPolicy::unsnap(r)?;
-        let states = Vec::<(u64, FrameState)>::unsnap(r)?;
-        if states.windows(2).any(|w| w[0].0 >= w[1].0) {
+        let len = r.take_usize()?;
+        // A pair takes at least 9 bytes.
+        let mut states = Vec::with_capacity(len.min(r.remaining() / 9));
+        let (mut dirty, mut ascending) = (0, true);
+        for _ in 0..len {
+            let frame = r.take_u64()?;
+            let state = match r.take_u8()? {
+                0 => {
+                    dirty += 1;
+                    FrameState::Dirty {
+                        clean_epochs: r.take_u32()?,
+                    }
+                }
+                1 => FrameState::Flushed,
+                tag => return Err(SnapshotError::bad_tag("FrameState", tag)),
+            };
+            ascending &= states.last().is_none_or(|&(last, _)| last < frame);
+            states.push((frame, state));
+        }
+        if !ascending {
             return Err(SnapshotError::corrupt(
                 "persistence domain frames are not strictly ascending",
             ));
         }
-        let dirty = states
-            .iter()
-            .filter(|(_, s)| matches!(s, FrameState::Dirty { .. }))
-            .count() as u64;
         Ok(PersistDomain {
             policy,
             states,
@@ -450,7 +472,7 @@ mod tests {
         w.put_usize(frames.len());
         for &f in frames {
             f.snap(&mut w);
-            FrameState::Flushed.snap(&mut w);
+            w.put_u8(1); // flushed
         }
         for counter in [3, 1, 0, 0] {
             w.put_u64(counter);
@@ -487,6 +509,62 @@ mod tests {
         let mut inflated = encoded(&[2]);
         inflated[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(PersistDomain::unsnap(&mut SnapReader::new(&inflated)).is_err());
+    }
+
+    /// 64-bit FNV-1a digest of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Recorded with the decoder before its one-pass rewrite.
+    const PERSIST_ERROR_DIGEST: u64 = 0x6931_cabe_103e_142f;
+
+    #[test]
+    fn decode_errors_match_the_pinned_digest() {
+        let mut d = PersistDomain::new(FlushPolicy::OnEvict);
+        d.sweep(0, [(1, true), (2, true), (4, true)]);
+        d.sweep(1, [(1, false), (2, true), (4, false), (9, true)]);
+        d.sweep(2, [(1, false), (2, false), (4, false), (9, false)]);
+        let mut w = SnapWriter::new();
+        d.snap(&mut w);
+        let bytes = w.into_bytes();
+        // The policy tag and each state's tag set to the first value they
+        // reject, then each frame set to its predecessor's number.
+        let mut mutations = vec![(0, vec![4u8])];
+        let mut at = 9;
+        let mut prev = None;
+        for _ in 0..d.tracked() {
+            if let Some(p) = prev {
+                mutations.push((at, u64::to_le_bytes(p).to_vec()));
+            }
+            prev = Some(u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()));
+            mutations.push((at + 8, vec![2]));
+            at += if bytes[at + 8] == 0 { 13 } else { 9 };
+        }
+        assert_eq!((mutations.len(), bytes.len() - at), (1 + 4 + 3, 32));
+        let mut seen = String::new();
+        let inputs = (0..bytes.len())
+            .map(|cut| bytes[..cut].to_vec())
+            .chain(mutations.iter().map(|(at, v)| {
+                let mut m = bytes.clone();
+                m[*at..*at + v.len()].copy_from_slice(v);
+                m
+            }));
+        for input in inputs {
+            let mut r = SnapReader::new(&input);
+            match PersistDomain::unsnap(&mut r).and_then(|_| r.finish()) {
+                Ok(()) => seen.push_str("ok"),
+                Err(e) => seen.push_str(&e.to_string()),
+            }
+            seen.push('\n');
+        }
+        let digest = fnv1a(seen.as_bytes());
+        assert_eq!(
+            digest, PERSIST_ERROR_DIGEST,
+            "persistence decode errors moved: {digest:#018x}"
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!   over a plain `Vec<u8>` with length-prefixed containers,
 //! * the [`Snap`] trait — `snap` into a writer, `unsnap` back out — with
 //!   blanket impls for primitives, tuples, arrays, `Option`, `Vec`,
-//!   `VecDeque`, and `BTreeMap`,
+//!   `VecDeque`, and `BTreeMap`; a `Vec` of fixed-width values is one
+//!   slice pass each way ([`Snap::snap_slice`] / [`Snap::unsnap_vec`]),
+//!   with the bytes and errors of a value-by-value pass,
 //! * the [`impl_snap!`] macro — field-by-field struct impls and tag-byte
 //!   enum impls without per-type boilerplate (usable from any crate:
 //!   `$crate` paths resolve back here),
@@ -81,6 +83,26 @@ impl SnapshotError {
     /// Shorthand for [`SnapshotError::Corrupt`].
     pub fn corrupt(msg: impl Into<String>) -> Self {
         SnapshotError::Corrupt(msg.into())
+    }
+
+    /// The error for an enum tag byte that names no variant of `ty`.
+    #[cold]
+    #[inline(never)]
+    pub fn bad_tag(ty: &str, tag: u8) -> Self {
+        SnapshotError::corrupt(format!("invalid {ty} tag {tag}"))
+    }
+
+    /// The error for an `Option` presence byte other than 0 or 1.
+    #[cold]
+    #[inline(never)]
+    pub fn bad_presence(byte: u8) -> Self {
+        SnapshotError::corrupt(format!("invalid Option presence byte {byte}"))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn bad_bool(byte: u8) -> Self {
+        SnapshotError::corrupt(format!("invalid bool byte {byte}"))
     }
 }
 
@@ -197,80 +219,143 @@ impl SnapWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Appends raw bytes with no length prefix (header fields).
+    /// Appends raw bytes with no length prefix: header fields, and the
+    /// encodings that array codecs assemble themselves.
     #[inline]
-    pub fn put_raw(&mut self, bytes: &[u8]) {
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends a record of at most `N` bytes in place: `encode` fills the
+    /// front of a zeroed `N`-byte window and returns how many it used.
+    #[inline]
+    pub fn put_record<const N: usize>(&mut self, encode: impl FnOnce(&mut [u8; N]) -> usize) {
+        let start = self.buf.len();
+        self.buf.resize(start + N, 0);
+        let window: &mut [u8; N] = (&mut self.buf[start..]).try_into().expect("N bytes");
+        let n = encode(window);
+        self.buf.truncate(start + n);
+    }
+
+    /// Appends each item's fixed `W`-byte encoding in one pass over
+    /// `items`, with no length prefix: the writer counterpart of
+    /// [`SnapReader::take_array`].
+    #[inline]
+    pub fn put_array<T, const W: usize>(&mut self, items: &[T], encode: impl Fn(&T) -> [u8; W]) {
+        self.buf.reserve(items.len() * W);
+        for item in items {
+            self.buf.extend_from_slice(&encode(item));
+        }
     }
 }
 
 /// Cursor over snapshot bytes for [`Snap::unsnap`].
 #[derive(Debug)]
 pub struct SnapReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet consumed.
+    rest: &'a [u8],
 }
 
 impl<'a> SnapReader<'a> {
     /// Creates a reader over `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
-        SnapReader { buf: bytes, pos: 0 }
+        SnapReader { rest: bytes }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
-    #[inline]
-    fn take_raw(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.remaining() < n {
-            return Err(SnapshotError::Truncated {
-                needed: n - self.remaining(),
-                remaining: self.remaining(),
-            });
+    /// The error a read of `n` bytes past the input returns.
+    #[cold]
+    #[inline(never)]
+    fn truncated(&self, n: usize) -> SnapshotError {
+        SnapshotError::Truncated {
+            needed: n - self.remaining(),
+            remaining: self.remaining(),
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+    }
+
+    /// Consumes the next `n` bytes and returns them as one slice: the
+    /// bounds check array codecs make once per array, or once per
+    /// fixed-width record, instead of once per field.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] when fewer than `n` bytes remain.
+    #[inline]
+    pub fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        if self.rest.len() < n {
+            return Err(self.truncated(n));
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Ok(head)
+    }
+
+    /// Reads `len` values of a fixed `W`-byte encoding in one pass over
+    /// the byte slice: the reader counterpart of [`SnapWriter::put_array`].
+    ///
+    /// # Errors
+    ///
+    /// The [`SnapshotError::Truncated`] a value-by-value read would return:
+    /// at the first value that runs past the input.
+    #[inline]
+    pub fn take_array<T, const W: usize>(
+        &mut self,
+        len: usize,
+        decode: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, SnapshotError> {
+        let whole = len.min(self.remaining() / W);
+        let bytes = self.take_bytes(whole * W)?;
+        if whole < len {
+            return Err(self.truncated(W));
+        }
+        Ok(bytes
+            .chunks_exact(W)
+            .map(|b| decode(b.try_into().expect("chunks are W bytes")))
+            .collect())
+    }
+
+    /// Consumes the next `N` bytes as an array.
+    #[inline]
+    fn take_fixed<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        Ok(self
+            .take_bytes(N)?
+            .try_into()
+            .expect("take_bytes returns N bytes"))
     }
 
     /// Reads one byte.
     #[inline]
     pub fn take_u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take_raw(1)?[0])
+        Ok(self.take_bytes(1)?[0])
     }
 
     /// Reads a little-endian `u16`.
     #[inline]
     pub fn take_u16(&mut self) -> Result<u16, SnapshotError> {
-        let b = self.take_raw(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        Ok(u16::from_le_bytes(self.take_fixed()?))
     }
 
     /// Reads a little-endian `u32`.
     #[inline]
     pub fn take_u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take_raw(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.take_fixed()?))
     }
 
     /// Reads a little-endian `u64`.
     #[inline]
     pub fn take_u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take_raw(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
+        Ok(u64::from_le_bytes(self.take_fixed()?))
     }
 
     /// Reads a little-endian `u128`.
     #[inline]
     pub fn take_u128(&mut self) -> Result<u128, SnapshotError> {
-        let b = self.take_raw(16)?;
-        let mut a = [0u8; 16];
-        a.copy_from_slice(b);
-        Ok(u128::from_le_bytes(a))
+        Ok(u128::from_le_bytes(self.take_fixed()?))
     }
 
     /// Reads a `usize` (stored as `u64`).
@@ -287,7 +372,7 @@ impl<'a> SnapReader<'a> {
         match self.take_u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            other => Err(SnapshotError::corrupt(format!("invalid bool byte {other}"))),
+            other => Err(SnapshotError::bad_bool(other)),
         }
     }
 
@@ -301,7 +386,7 @@ impl<'a> SnapReader<'a> {
     #[inline]
     pub fn take_string(&mut self) -> Result<String, SnapshotError> {
         let len = self.take_usize()?;
-        let bytes = self.take_raw(len)?;
+        let bytes = self.take_bytes(len)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| SnapshotError::corrupt("string is not valid UTF-8"))
     }
@@ -320,7 +405,7 @@ impl<'a> SnapReader<'a> {
 
 /// Writes the snapshot header: magic, format version, layer tag.
 pub fn write_header(w: &mut SnapWriter, layer: u8) {
-    w.put_raw(&SNAP_MAGIC);
+    w.put_bytes(&SNAP_MAGIC);
     w.put_u32(SNAP_VERSION);
     w.put_u8(layer);
 }
@@ -333,7 +418,7 @@ pub fn write_header(w: &mut SnapWriter, layer: u8) {
 /// [`SnapshotError::BadMagic`] / [`SnapshotError::BadVersion`] /
 /// [`SnapshotError::WrongLayer`] on the respective field mismatch.
 pub fn read_header(r: &mut SnapReader<'_>, expected_layer: u8) -> Result<(), SnapshotError> {
-    let magic = r.take_raw(4)?;
+    let magic = r.take_bytes(4)?;
     if magic != SNAP_MAGIC {
         return Err(SnapshotError::BadMagic {
             found: [magic[0], magic[1], magic[2], magic[3]],
@@ -378,9 +463,42 @@ pub trait Snap: Sized {
     /// Any [`SnapshotError`] from the underlying reads, or
     /// [`SnapshotError::Corrupt`] when the bytes violate an invariant.
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError>;
+
+    /// Appends `items` back to back, with no length prefix: the body of a
+    /// `Vec`. Types with a fixed-width encoding override it with one pass
+    /// over the slice ([`SnapWriter::put_array`]); the bytes are the same.
+    fn snap_slice(items: &[Self], w: &mut SnapWriter) {
+        for item in items {
+            item.snap(w);
+        }
+    }
+
+    /// Decodes `len` values written by [`Snap::snap_slice`], failing with
+    /// the error the first failing [`Snap::unsnap`] would return. The
+    /// up-front reservation is bounded by the bytes left, not by `len`
+    /// alone, so a corrupt length cannot ask for more memory than the
+    /// input could fill; growth covers the rest.
+    fn unsnap_vec(r: &mut SnapReader<'_>, len: usize) -> Result<Vec<Self>, SnapshotError> {
+        let cap = len.min(r.remaining() / std::mem::size_of::<Self>().max(1));
+        let mut out = Vec::with_capacity(cap);
+        for _ in 0..len {
+            out.push(Self::unsnap(r)?);
+        }
+        Ok(out)
+    }
 }
 
-macro_rules! snap_primitive {
+impl Snap for usize {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_usize(*self);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        r.take_usize()
+    }
+}
+
+/// Fixed-width little-endian primitives: one slice pass per array.
+macro_rules! snap_fixed {
     ($($ty:ty => $put:ident / $take:ident),* $(,)?) => {
         $(impl Snap for $ty {
             fn snap(&self, w: &mut SnapWriter) {
@@ -389,19 +507,52 @@ macro_rules! snap_primitive {
             fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
                 r.$take()
             }
+            fn snap_slice(items: &[Self], w: &mut SnapWriter) {
+                w.put_array(items, |v| v.to_le_bytes());
+            }
+            fn unsnap_vec(r: &mut SnapReader<'_>, len: usize) -> Result<Vec<Self>, SnapshotError> {
+                r.take_array(len, <$ty>::from_le_bytes)
+            }
         })*
     };
 }
 
-snap_primitive! {
+snap_fixed! {
     u8 => put_u8 / take_u8,
     u16 => put_u16 / take_u16,
     u32 => put_u32 / take_u32,
     u64 => put_u64 / take_u64,
     u128 => put_u128 / take_u128,
-    usize => put_usize / take_usize,
-    bool => put_bool / take_bool,
     f64 => put_f64 / take_f64,
+}
+
+impl Snap for bool {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put_bool(*self);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        r.take_bool()
+    }
+    fn snap_slice(items: &[Self], w: &mut SnapWriter) {
+        w.put_array(items, |&b| [u8::from(b)]);
+    }
+    /// One pass over the bytes present; the first byte other than 0 or 1
+    /// fails before a short input does, as a value-by-value read would.
+    fn unsnap_vec(r: &mut SnapReader<'_>, len: usize) -> Result<Vec<Self>, SnapshotError> {
+        let whole = len.min(r.remaining());
+        let bytes = r.take_bytes(whole)?;
+        if bytes.iter().fold(0, |max, &b| max.max(b)) > 1 {
+            let bad = bytes
+                .iter()
+                .find(|&&b| b > 1)
+                .expect("the maximum is past 1");
+            return Err(SnapshotError::bad_bool(*bad));
+        }
+        if whole < len {
+            return Err(r.truncated(1));
+        }
+        Ok(bytes.iter().map(|&b| b == 1).collect())
+    }
 }
 
 impl Snap for String {
@@ -427,9 +578,7 @@ impl<T: Snap> Snap for Option<T> {
         match r.take_u8()? {
             0 => Ok(None),
             1 => Ok(Some(T::unsnap(r)?)),
-            other => Err(SnapshotError::corrupt(format!(
-                "invalid Option presence byte {other}"
-            ))),
+            other => Err(SnapshotError::bad_presence(other)),
         }
     }
 }
@@ -446,26 +595,20 @@ impl<T: Snap> Snap for Box<T> {
 impl<T: Snap> Snap for Vec<T> {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_usize(self.len());
-        for item in self {
-            item.snap(w);
-        }
+        T::snap_slice(self, w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let len = r.take_usize()?;
-        let mut out = Vec::with_capacity(len.min(r.remaining()));
-        for _ in 0..len {
-            out.push(T::unsnap(r)?);
-        }
-        Ok(out)
+        T::unsnap_vec(r, len)
     }
 }
 
 impl<T: Snap> Snap for VecDeque<T> {
     fn snap(&self, w: &mut SnapWriter) {
         w.put_usize(self.len());
-        for item in self {
-            item.snap(w);
-        }
+        let (front, back) = self.as_slices();
+        T::snap_slice(front, w);
+        T::snap_slice(back, w);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         Ok(Vec::<T>::unsnap(r)?.into())
@@ -568,9 +711,31 @@ impl Snap for crate::time::Nanos {
 /// Enum tags are explicit so a reordered declaration cannot silently
 /// change the format; reusing a tag is a compile error (unreachable match
 /// arm aside, the decoder match would be ambiguous — keep them unique).
+///
+/// A struct arm may end in `validate <fn(&Self) -> Result<(), SnapshotError>>`:
+/// decode then returns that check's error for a value whose fields decoded
+/// but do not fit together.
+///
+/// ```
+/// use hetero_sim::impl_snap;
+/// use hetero_sim::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
+///
+/// struct Span { start: u64, end: u64 }
+/// impl_snap!(struct Span { start, end } validate |s: &Span| {
+///     if s.start <= s.end { Ok(()) } else { Err(SnapshotError::corrupt("reversed span")) }
+/// });
+///
+/// let mut w = SnapWriter::new();
+/// Span { start: 9, end: 2 }.snap(&mut w);
+/// let bytes = w.into_bytes();
+/// assert!(Span::unsnap(&mut SnapReader::new(&bytes)).is_err());
+/// ```
 #[macro_export]
 macro_rules! impl_snap {
     (struct $ty:ty { $($field:ident),* $(,)? }) => {
+        $crate::impl_snap!(struct $ty { $($field),* } validate |_: &Self| ::std::result::Result::Ok(()));
+    };
+    (struct $ty:ty { $($field:ident),* $(,)? } validate $check:expr) => {
         impl $crate::snap::Snap for $ty {
             fn snap(&self, w: &mut $crate::snap::SnapWriter) {
                 $( $crate::snap::Snap::snap(&self.$field, w); )*
@@ -578,9 +743,13 @@ macro_rules! impl_snap {
             fn unsnap(
                 r: &mut $crate::snap::SnapReader<'_>,
             ) -> ::std::result::Result<Self, $crate::snap::SnapshotError> {
-                ::std::result::Result::Ok(Self {
+                let value = Self {
                     $( $field: $crate::snap::Snap::unsnap(r)?, )*
-                })
+                };
+                let check: fn(&Self) -> ::std::result::Result<(), $crate::snap::SnapshotError> =
+                    $check;
+                check(&value)?;
+                ::std::result::Result::Ok(value)
             }
         }
     };
@@ -611,12 +780,9 @@ macro_rules! impl_snap {
                             $crate::snap::Snap::unsnap(r)?
                         } ),* ) )?
                     ), )*
-                    other => ::std::result::Result::Err($crate::snap::SnapshotError::corrupt(
-                        ::std::format!(
-                            ::std::concat!("invalid ", ::std::stringify!($ty), " tag {}"),
-                            other,
-                        ),
-                    )),
+                    other => ::std::result::Result::Err(
+                        $crate::snap::SnapshotError::bad_tag(::std::stringify!($ty), other),
+                    ),
                 }
             }
         }
@@ -831,6 +997,84 @@ mod tests {
             Shape::unsnap(&mut r),
             Err(SnapshotError::Corrupt(_))
         ));
+    }
+
+    /// Recorded with the per-element `Vec` decoder before its one-pass
+    /// rewrite.
+    const VEC_ERROR_DIGEST: u64 = 0xb116_6b57_2ad7_c637;
+
+    #[test]
+    fn vec_decode_errors_match_the_pinned_digest() {
+        fn encode<T: Snap>(v: &T) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            v.snap(&mut w);
+            w.into_bytes()
+        }
+        /// The `Display` string (or "ok") of decoding every proper prefix
+        /// of `v`'s encoding, then each `(offset, byte)` mutation.
+        fn errors<T: Snap>(v: &T, mutations: &[(usize, u8)], seen: &mut String) {
+            let bytes = encode(v);
+            let mut record = |input: &[u8]| {
+                let mut r = SnapReader::new(input);
+                match T::unsnap(&mut r).and_then(|_| r.finish()) {
+                    Ok(()) => seen.push_str("ok"),
+                    Err(e) => seen.push_str(&e.to_string()),
+                }
+                seen.push('\n');
+            };
+            for cut in 0..bytes.len() {
+                record(&bytes[..cut]);
+            }
+            for &(at, value) in mutations {
+                let mut m = bytes.clone();
+                m[at] = value;
+                record(&m);
+            }
+        }
+        let mut seen = String::new();
+        errors(&vec![7u8, 0, 255], &[], &mut seen);
+        errors(&vec![0x1234u16, 9], &[], &mut seen);
+        errors(&vec![0xDEAD_BEEFu32, 1, 2], &[], &mut seen);
+        errors(&vec![u64::MAX, 3], &[(0, 5)], &mut seen);
+        errors(&vec![u128::MAX, 5], &[], &mut seen);
+        errors(&vec![usize::MAX, 6], &[(0, 3)], &mut seen);
+        errors(&vec![-2.5f64, f64::NAN], &[], &mut seen);
+        errors(
+            &vec![true, false, true],
+            &[(0, 9), (8, 2), (9, 7), (10, 255)],
+            &mut seen,
+        );
+        errors(&VecDeque::from(vec![4u64, 8]), &[], &mut seen);
+        errors(&vec![vec![1u64], vec![]], &[(8, 3)], &mut seen);
+        let digest = fnv1a(seen.as_bytes());
+        assert_eq!(
+            digest, VEC_ERROR_DIGEST,
+            "Vec decode errors moved: {digest:#018x}"
+        );
+    }
+
+    /// 64-bit FNV-1a digest of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn inflated_length_prefix_fails_without_a_huge_reservation() {
+        // A 2^40 length before 4 MiB of 4 KiB elements: reserving
+        // min(len, remaining bytes) elements asked for 16 GiB and aborted
+        // the process instead of returning `Truncated`.
+        let mut bytes = (1u64 << 40).to_le_bytes().to_vec();
+        bytes.resize(8 + (4 << 20), 0);
+        let err = Vec::<[u64; 512]>::unsnap(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert_eq!(
+            err,
+            SnapshotError::Truncated {
+                needed: 8,
+                remaining: 0
+            }
+        );
     }
 
     #[test]
