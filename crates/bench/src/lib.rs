@@ -6,9 +6,10 @@
 //!   regenerates every table and figure of the paper's evaluation and
 //!   prints them as text tables — see [`run_experiment`] for the available
 //!   targets;
-//! * the **criterion benches** (`cargo bench -p bench`) measure the
-//!   substrate operations themselves (buddy allocation, page-table scans,
-//!   LRU transitions, DRF requests, end-to-end epochs).
+//! * the **wall-clock bench** (`cargo bench -p bench`) times substrate
+//!   operations and end-to-end runs (buddy churn, full-VM scans, LRU
+//!   transitions, slab traffic, `repro` epochs, fleets, a cluster,
+//!   snapshots) and writes or checks `BENCH_substrate.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

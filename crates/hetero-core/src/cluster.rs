@@ -499,8 +499,8 @@ impl Cluster {
     }
 
     /// As [`Cluster::run`], additionally returning every violation found
-    /// (always empty when `SimConfig::effective_audit` is `Off`): each
-    /// host's per-epoch ledger audit, every guest's own sanitizer, and the
+    /// (always empty when `SimConfig::audit` is `Off`): each host's
+    /// per-epoch ledger audit, every guest's own sanitizer, and the
     /// cluster-boundary conservation audit after every round.
     pub fn run_audited(mut self) -> (ClusterOutcome, Vec<Violation>) {
         while self.step_round() {}
@@ -526,7 +526,7 @@ impl Cluster {
         if !self.is_active() {
             return false;
         }
-        let audited = self.cfg.effective_audit().is_enabled();
+        let audited = self.cfg.audit.is_enabled();
         let mut violations = std::mem::take(&mut self.violations);
         let round_end = self.now + self.spec.quantum;
         self.rounds += 1;

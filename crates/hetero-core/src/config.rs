@@ -5,6 +5,7 @@ use std::str::FromStr;
 
 use hetero_faults::AuditLevel;
 use hetero_mem::{CostModel, FlushPolicy, LlcModel, ThrottleConfig, TierProfile};
+use hetero_sim::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
 use hetero_sim::Nanos;
 
 use crate::policy::Tracking;
@@ -151,26 +152,14 @@ pub struct SimConfig {
     /// not depend on this; the `ext-hints` experiment quantifies how much
     /// transparency leaves on the table.
     pub app_hints: bool,
-    /// Dispatch epoch demand through the guest kernel's bulk entry points
-    /// (one call per run of identically-placed objects) instead of one call
-    /// per object. Semantically a no-op — the scalar path is retained as the
-    /// equivalence reference for tests; traces and metrics are byte-identical
-    /// either way.
-    pub bulk_ops: bool,
-    /// Run the cross-layer invariant auditor after every engine step,
-    /// collecting typed violation reports (`SingleVmSim::violations`).
-    /// Costs a full memmap walk per step — meant for chaos/fault runs and
-    /// debugging, not performance experiments.
-    ///
-    /// Legacy switch: equivalent to `audit = AuditLevel::Epoch` (see
-    /// [`SimConfig::effective_audit`]); kept so chaos harnesses that only
-    /// *collect* violations keep working unchanged.
-    pub audit_invariants: bool,
     /// Invariant-sanitizer level (`Off`/`Epoch`/`Paranoid`). Observational
     /// only — every exported byte (report, traces, telemetry) is identical
-    /// across levels; non-`Off` levels make `SingleVmSim::run` and
-    /// `MultiVmSim::run` panic on the first violation instead of silently
-    /// continuing.
+    /// across levels. A non-`Off` level audits every engine step and
+    /// collects typed violation reports (`SingleVmSim::violations`);
+    /// `SingleVmSim::run` and `MultiVmSim::run` then panic on the first
+    /// violation instead of silently continuing. Costs at least a full
+    /// memmap walk per step — meant for chaos/fault runs and debugging,
+    /// not performance experiments.
     pub audit: AuditLevel,
     /// Collect structured telemetry — a named metrics registry plus
     /// hierarchical sim-time spans (`SingleVmSim::telemetry`). Purely
@@ -247,8 +236,6 @@ impl SimConfig {
             bare_metal: false,
             trace_events: 0,
             app_hints: false,
-            bulk_ops: true,
-            audit_invariants: false,
             audit: AuditLevel::Off,
             telemetry: false,
             sched: SchedMode::Event,
@@ -300,34 +287,10 @@ impl SimConfig {
         self
     }
 
-    /// Selects bulk (default) or per-object scalar demand dispatch.
-    pub fn with_bulk_ops(mut self, on: bool) -> Self {
-        self.bulk_ops = on;
-        self
-    }
-
-    /// Enables the per-step invariant auditor.
-    pub fn with_audit_invariants(mut self, on: bool) -> Self {
-        self.audit_invariants = on;
-        self
-    }
-
     /// Sets the invariant-sanitizer level.
     pub fn with_audit(mut self, level: AuditLevel) -> Self {
         self.audit = level;
         self
-    }
-
-    /// The level the sanitizer actually runs at: `audit` when set, else
-    /// `Epoch` when the legacy `audit_invariants` flag is on, else `Off`.
-    pub fn effective_audit(&self) -> AuditLevel {
-        if self.audit != AuditLevel::Off {
-            self.audit
-        } else if self.audit_invariants {
-            AuditLevel::Epoch
-        } else {
-            AuditLevel::Off
-        }
     }
 
     /// Toggles structured telemetry (metrics registry + spans).
@@ -414,46 +377,104 @@ hetero_sim::impl_snap!(enum SchedMode {
     1 => Event {},
 });
 
-hetero_sim::impl_snap!(struct SimConfig {
-    fast_bytes,
-    slow_bytes,
-    medium_bytes,
-    fast_throttle,
-    slow_throttle,
-    medium_throttle,
-    llc,
-    page_size,
-    scale,
-    seed,
-    costs,
-    cpus,
-    scan_interval,
-    scan_batch,
-    migrate_batch,
-    demote_batch,
-    fast_low_watermark,
-    lru_cold_heat,
-    lru_age_batch,
-    stats_window,
-    adaptive_bounds,
-    adaptive_interval,
-    guided_tracking,
-    eager_io_override,
-    typed_demotion,
-    nvm_slow,
-    write_aware,
-    bare_metal,
-    trace_events,
-    app_hints,
-    bulk_ops,
-    audit_invariants,
-    audit,
-    telemetry,
-    sched,
-    persist,
-    tier_profile,
-    tracking_override,
-});
+// Every snapshot opens with its `SimConfig`, so the encoding keeps two
+// one-byte slots after `app_hints` for flags that no longer exist:
+// `bulk_ops` (written as 1 and ignored on read; scalar dispatch was
+// byte-identical to the bulk path) and `audit_invariants` (written as 0; a
+// 1 restores as `audit: Epoch` when `audit` is `Off`, the level the flag
+// stood for). Both still decode as bools.
+impl Snap for SimConfig {
+    fn snap(&self, w: &mut SnapWriter) {
+        self.fast_bytes.snap(w);
+        self.slow_bytes.snap(w);
+        self.medium_bytes.snap(w);
+        self.fast_throttle.snap(w);
+        self.slow_throttle.snap(w);
+        self.medium_throttle.snap(w);
+        self.llc.snap(w);
+        self.page_size.snap(w);
+        self.scale.snap(w);
+        self.seed.snap(w);
+        self.costs.snap(w);
+        self.cpus.snap(w);
+        self.scan_interval.snap(w);
+        self.scan_batch.snap(w);
+        self.migrate_batch.snap(w);
+        self.demote_batch.snap(w);
+        self.fast_low_watermark.snap(w);
+        self.lru_cold_heat.snap(w);
+        self.lru_age_batch.snap(w);
+        self.stats_window.snap(w);
+        self.adaptive_bounds.snap(w);
+        self.adaptive_interval.snap(w);
+        self.guided_tracking.snap(w);
+        self.eager_io_override.snap(w);
+        self.typed_demotion.snap(w);
+        self.nvm_slow.snap(w);
+        self.write_aware.snap(w);
+        self.bare_metal.snap(w);
+        self.trace_events.snap(w);
+        self.app_hints.snap(w);
+        w.put_bool(true);
+        w.put_bool(false);
+        self.audit.snap(w);
+        self.telemetry.snap(w);
+        self.sched.snap(w);
+        self.persist.snap(w);
+        self.tier_profile.snap(w);
+        self.tracking_override.snap(w);
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        // Fields decode in the order written, as the struct expression
+        // evaluates them.
+        Ok(SimConfig {
+            fast_bytes: Snap::unsnap(r)?,
+            slow_bytes: Snap::unsnap(r)?,
+            medium_bytes: Snap::unsnap(r)?,
+            fast_throttle: Snap::unsnap(r)?,
+            slow_throttle: Snap::unsnap(r)?,
+            medium_throttle: Snap::unsnap(r)?,
+            llc: Snap::unsnap(r)?,
+            page_size: Snap::unsnap(r)?,
+            scale: Snap::unsnap(r)?,
+            seed: Snap::unsnap(r)?,
+            costs: Snap::unsnap(r)?,
+            cpus: Snap::unsnap(r)?,
+            scan_interval: Snap::unsnap(r)?,
+            scan_batch: Snap::unsnap(r)?,
+            migrate_batch: Snap::unsnap(r)?,
+            demote_batch: Snap::unsnap(r)?,
+            fast_low_watermark: Snap::unsnap(r)?,
+            lru_cold_heat: Snap::unsnap(r)?,
+            lru_age_batch: Snap::unsnap(r)?,
+            stats_window: Snap::unsnap(r)?,
+            adaptive_bounds: Snap::unsnap(r)?,
+            adaptive_interval: Snap::unsnap(r)?,
+            guided_tracking: Snap::unsnap(r)?,
+            eager_io_override: Snap::unsnap(r)?,
+            typed_demotion: Snap::unsnap(r)?,
+            nvm_slow: Snap::unsnap(r)?,
+            write_aware: Snap::unsnap(r)?,
+            bare_metal: Snap::unsnap(r)?,
+            trace_events: Snap::unsnap(r)?,
+            app_hints: Snap::unsnap(r)?,
+            audit: {
+                let _bulk = r.take_bool()?;
+                let legacy_audit = r.take_bool()?;
+                match AuditLevel::unsnap(r)? {
+                    AuditLevel::Off if legacy_audit => AuditLevel::Epoch,
+                    level => level,
+                }
+            },
+            telemetry: Snap::unsnap(r)?,
+            sched: Snap::unsnap(r)?,
+            persist: Snap::unsnap(r)?,
+            tier_profile: Snap::unsnap(r)?,
+            tracking_override: Snap::unsnap(r)?,
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -530,27 +551,6 @@ mod tests {
         assert_eq!(
             c.with_persist(FlushPolicy::EpochBatched).persist,
             FlushPolicy::EpochBatched
-        );
-    }
-
-    #[test]
-    fn effective_audit_unifies_legacy_flag() {
-        let c = SimConfig::paper_default();
-        assert_eq!(c.effective_audit(), AuditLevel::Off);
-        assert_eq!(
-            c.clone().with_audit_invariants(true).effective_audit(),
-            AuditLevel::Epoch
-        );
-        assert_eq!(
-            c.clone().with_audit(AuditLevel::Paranoid).effective_audit(),
-            AuditLevel::Paranoid
-        );
-        // The explicit level wins over the legacy flag.
-        assert_eq!(
-            c.with_audit_invariants(true)
-                .with_audit(AuditLevel::Paranoid)
-                .effective_audit(),
-            AuditLevel::Paranoid
         );
     }
 }

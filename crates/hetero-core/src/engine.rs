@@ -161,12 +161,11 @@ pub struct SingleVmSim<W: Workload = AppWorkload> {
     degraded: bool,
     /// Throttle multiplier from an active injected latency storm.
     storm_factor: f64,
-    /// Invariant violations found by the per-step auditor
-    /// (`SimConfig::audit_invariants`).
+    /// Invariant violations found by the per-step sanitizer.
     violations: Vec<Violation>,
-    /// The layered sanitizer, present when `SimConfig::effective_audit`
-    /// is not `Off`. Observational only: it never draws randomness,
-    /// charges the clock, or mutates guest state.
+    /// The layered sanitizer, present when `SimConfig::audit` is not
+    /// `Off`. Observational only: it never draws randomness, charges the
+    /// clock, or mutates guest state.
     sanitizer: Option<Sanitizer>,
     /// The engine's own running tally of migrations it successfully
     /// requested (every `charge_migration` call site). The sanitizer's
@@ -307,7 +306,7 @@ impl<W: Workload> SingleVmSim<W> {
             storm_factor: 1.0,
             violations: Vec::new(),
             sanitizer: {
-                let level = cfg.effective_audit();
+                let level = cfg.audit;
                 level.is_enabled().then(|| Sanitizer::new(level))
             },
             migrations_tallied: 0,
@@ -427,9 +426,9 @@ impl<W: Workload> SingleVmSim<W> {
     }
 
     /// Violations found by the invariant sanitizer. Empty unless
-    /// `SimConfig::effective_audit` enables it — and, if the stack is
-    /// healthy, empty even then. Stepping manually only *collects*
-    /// violations; [`SingleVmSim::run`] is what fails loudly on them.
+    /// `SimConfig::audit` enables it — and, if the stack is healthy, empty
+    /// even then. Stepping manually only *collects* violations;
+    /// [`SingleVmSim::run`] is what fails loudly on them.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
@@ -1052,7 +1051,7 @@ impl<W: Workload> SingleVmSim<W> {
         // and audit the recovered kernel immediately. Any violation here is
         // a recovery bug and fails the run loudly like every other finding.
         if self.sanitizer.is_some() {
-            self.sanitizer = Some(Sanitizer::new(self.cfg.effective_audit()));
+            self.sanitizer = Some(Sanitizer::new(self.cfg.audit));
             self.audit_epoch();
         }
         self.span_close(span);
@@ -1127,11 +1126,10 @@ impl<W: Workload> SingleVmSim<W> {
     ///
     /// # Panics
     ///
-    /// With an explicit `SimConfig::audit` level set (not the legacy
-    /// collect-only `audit_invariants` flag), panics on the first run whose
-    /// sanitizer found any violation, listing every one. The run itself is
-    /// driven to completion first, so the panic message reflects the whole
-    /// violation history, not just the first epoch's.
+    /// With a `SimConfig::audit` level other than `Off`, panics on the
+    /// first run whose sanitizer found any violation, listing every one.
+    /// The run itself is driven to completion first, so the panic message
+    /// reflects the whole violation history, not just the first epoch's.
     pub fn run(mut self) -> RunReport {
         while self.step() {}
         if self.cfg.audit != AuditLevel::Off && !self.violations.is_empty() {
@@ -1210,23 +1208,10 @@ impl<W: Workload> SingleVmSim<W> {
         }
         self.lazy_reclaim_if_due();
         // Kernel objects free immediately (kfree) under every policy.
-        if self.cfg.bulk_ops {
-            self.kernel
-                .slab_free_bulk(SlabClass::FsMeta, d.slab_frees * SLAB_OBJS_PER_PAGE);
-            self.kernel
-                .slab_free_bulk(SlabClass::Skbuff, d.netbuf_frees * NETBUF_OBJS_PER_PAGE);
-        } else {
-            for _ in 0..d.slab_frees * SLAB_OBJS_PER_PAGE {
-                if !self.kernel.slab_free_any(SlabClass::FsMeta) {
-                    break;
-                }
-            }
-            for _ in 0..d.netbuf_frees * NETBUF_OBJS_PER_PAGE {
-                if !self.kernel.slab_free_any(SlabClass::Skbuff) {
-                    break;
-                }
-            }
-        }
+        self.kernel
+            .slab_free_bulk(SlabClass::FsMeta, d.slab_frees * SLAB_OBJS_PER_PAGE);
+        self.kernel
+            .slab_free_bulk(SlabClass::Skbuff, d.netbuf_frees * NETBUF_OBJS_PER_PAGE);
     }
 
     fn release_io_page(&mut self, file: FileId, off: u64, eager: bool, is_cache: bool) {
@@ -1363,65 +1348,38 @@ impl<W: Workload> SingleVmSim<W> {
     }
 
     fn apply_io_and_slab_allocations(&mut self, d: &EpochDemand) {
-        if self.cfg.bulk_ops {
-            self.bulk_io_page_ins(true, d.cache_reads);
-            self.bulk_io_page_ins(false, d.buffer_allocs);
-            self.bulk_slab_allocs(SlabClass::FsMeta, PageType::Slab, d.slab_allocs * SLAB_OBJS_PER_PAGE);
-            self.bulk_slab_allocs(
-                SlabClass::Skbuff,
-                PageType::NetBuf,
-                d.netbuf_allocs * NETBUF_OBJS_PER_PAGE,
-            );
-            return;
-        }
-        // Scalar reference path: one placement decision and one kernel call
-        // per object. Kept verbatim as the equivalence baseline the bulk
-        // path is tested against (`with_bulk_ops(false)`).
-        for _ in 0..d.cache_reads {
-            let pref = self.preference(PageType::PageCache);
-            let off = self.cache_next;
-            self.cache_next += 1;
-            if self.ensure_one_free() && self.kernel.page_in(CACHE_FILE, off, 224, pref.as_slice()).is_ok() {
-                self.cache_live.push_back(off);
-            }
-        }
-        for _ in 0..d.buffer_allocs {
-            let pref = self.preference(PageType::BufferCache);
-            let off = self.buffer_next;
-            self.buffer_next += 1;
-            if self.ensure_one_free()
-                && self
-                    .kernel
-                    .buffer_page_in(BUFFER_FILE, off, 224, pref.as_slice())
-                    .is_ok()
-            {
-                self.buffer_live.push_back(off);
-            }
-        }
-        for _ in 0..d.slab_allocs * SLAB_OBJS_PER_PAGE {
-            let pref = self.preference(PageType::Slab);
-            let _ = self.kernel.slab_alloc(SlabClass::FsMeta, 224, pref.as_slice());
-        }
-        for _ in 0..d.netbuf_allocs * NETBUF_OBJS_PER_PAGE {
-            let pref = self.preference(PageType::NetBuf);
-            let _ = self.kernel.slab_alloc(SlabClass::Skbuff, 224, pref.as_slice());
-        }
+        self.bulk_io_page_ins(true, d.cache_reads);
+        self.bulk_io_page_ins(false, d.buffer_allocs);
+        self.bulk_slab_allocs(
+            SlabClass::FsMeta,
+            PageType::Slab,
+            d.slab_allocs * SLAB_OBJS_PER_PAGE,
+        );
+        self.bulk_slab_allocs(
+            SlabClass::Skbuff,
+            PageType::NetBuf,
+            d.netbuf_allocs * NETBUF_OBJS_PER_PAGE,
+        );
     }
 
     // ------------------------------------------------------- bulk dispatch
     //
-    // The bulk path must be an *exact* semantic no-op versus the scalar
-    // loops above: identical placement for every object, identical RNG draw
-    // count, identical allocation statistics and event traces. Placement
+    // Demand is dispatched with per-object semantics: every object takes
+    // its own placement decision (`preference`), and every page-in first
+    // makes sure a frame is free (`ensure_one_free`, a reclaim storm when
+    // both tiers are full). The bulk calls must reproduce that sequence
+    // exactly: the same placement for every object, the same RNG draw
+    // count, the same allocation statistics and event traces
+    // (`DISPATCH_DIGESTS` in `tests/checkpoint.rs` pins them). Placement
     // decisions are therefore run-length grouped — one kernel call covers a
     // run of consecutive objects only when every object in the run is
-    // guaranteed the same preference chain the scalar loop would compute.
+    // guaranteed the same preference chain its own decision would compute.
 
     /// Computes the next run of consecutive objects sharing one preference
-    /// chain. For RNG-driven policies this draws one chance per object
-    /// (keeping the draw count identical to the scalar loop); the first
-    /// draw that breaks the run is parked in `pending` for the next call.
-    /// For demand-prioritized policies the run is bounded so the FastMem
+    /// chain. For RNG-driven policies this draws one chance per object, as
+    /// per-object placement decisions do; the first draw that breaks the
+    /// run is parked in `pending` for the next call. For
+    /// demand-prioritized policies the run is bounded so the FastMem
     /// scarcity signal cannot flip inside it.
     fn next_pref_run(
         &mut self,
@@ -1463,7 +1421,7 @@ impl<W: Workload> SingleVmSim<W> {
                     // watermark trips. Each object consumes at most one
                     // Fast frame, so the first `free - min_free + 1`
                     // objects are guaranteed to still see a non-scarce
-                    // tier exactly as the scalar loop would.
+                    // tier, as their own decisions would.
                     let total = self.kernel.total_frames(MemKind::Fast);
                     let free = self.kernel.free_frames(MemKind::Fast);
                     let mut min_free = (thr * total as f64).ceil() as u64;
@@ -1487,8 +1445,8 @@ impl<W: Workload> SingleVmSim<W> {
     }
 
     /// Bulk page-cache / buffer-cache reads: run-grouped placement, with
-    /// sub-chunks sized so the scalar loop's `ensure_one_free` reclaim
-    /// storm fires at exactly the same object index.
+    /// sub-chunks sized so the per-object `ensure_one_free` reclaim storm
+    /// fires at exactly the same object index.
     fn bulk_io_page_ins(&mut self, is_cache: bool, n: u64) {
         let page_type = if is_cache {
             PageType::PageCache
@@ -1506,8 +1464,8 @@ impl<W: Workload> SingleVmSim<W> {
                     + self.kernel.free_frames(MemKind::Slow);
                 if free_total == 0 {
                     // The next object trips the reclaim storm (its chain —
-                    // computed before the storm, like the scalar loop's —
-                    // is already fixed in `run`).
+                    // computed before the storm, as its own decision would
+                    // be — is already fixed in `run`).
                     if !self.ensure_one_free() {
                         // Nothing reclaimable: the rest of the run is
                         // skipped, but offsets still advance.
@@ -1537,8 +1495,8 @@ impl<W: Workload> SingleVmSim<W> {
     /// Pages `count` consecutive offsets in with one kernel call and
     /// registers the successes as live. Placement failures form a suffix
     /// (nothing frees memory inside a chunk), so the success count is also
-    /// the live prefix length — exactly the offsets the scalar loop would
-    /// have recorded.
+    /// the live prefix length — exactly the offsets per-object page-ins
+    /// would have recorded.
     fn dispatch_io_chunk(&mut self, is_cache: bool, count: u64, chain: TierChain) -> u64 {
         let (start, ok) = if is_cache {
             let start = self.cache_next;
@@ -1573,9 +1531,9 @@ impl<W: Workload> SingleVmSim<W> {
     }
 
     /// Bulk slab/netbuf object allocation: one kernel call per placement
-    /// run. `GuestKernel::slab_alloc_bulk` leaves the state of the scalar
-    /// carve/fresh-page/failure sequence, accounting the failures that
-    /// follow a first one in a single step.
+    /// run. `GuestKernel::slab_alloc_bulk` leaves the state of the
+    /// per-object carve/fresh-page/failure sequence, accounting the
+    /// failures that follow a first one in a single step.
     fn bulk_slab_allocs(&mut self, class: SlabClass, page_type: PageType, n: u64) {
         let mut remaining = n;
         let mut pending: Option<TierChain> = None;
@@ -2384,6 +2342,39 @@ mod tests {
     fn short_spec(mut spec: hetero_workloads::WorkloadSpec) -> hetero_workloads::WorkloadSpec {
         spec.total_instructions /= 5;
         spec
+    }
+
+    #[test]
+    fn forced_promoter_skips_a_victim_that_fails_to_demote() {
+        // FastMem is full. The first cold candidate was freed after the
+        // scan, so its demotion fails and the first hot page waits; the
+        // second candidate demotes and makes room for the second hot page.
+        let cfg = quick_cfg();
+        let workload = AppWorkload::new(short_spec(apps::graphchi()), cfg.page_size, cfg.scale);
+        let mut sim = SingleVmSim::new(cfg, Policy::VmmExclusive, workload);
+        let k = &mut sim.kernel;
+        let fill = k.free_frames(MemKind::Fast);
+        let (cold, _) = k
+            .mmap_heap(fill, std::iter::repeat(1), &[MemKind::Fast])
+            .expect("FastMem fills");
+        let (hot, _) = k
+            .mmap_heap(2, std::iter::repeat(255), &[MemKind::Slow])
+            .expect("two hot pages");
+        let (gone, _) = k
+            .mmap_heap(1, std::iter::repeat(1), &[MemKind::Slow])
+            .expect("one page");
+        let gfn = |k: &GuestKernel, vpn: u64| k.page_table().translate(vpn).expect("mapped");
+        let freed = gfn(k, gone.start);
+        k.munmap(gone.start, 1);
+        assert_eq!(k.free_frames(MemKind::Fast), 0);
+        let hot_gfns = [gfn(k, hot.start), gfn(k, hot.start + 1)];
+        sim.scan_scratch.cold_candidates = vec![freed, gfn(&sim.kernel, cold.start)];
+
+        assert_eq!(sim.promote_forced(&hot_gfns), 2);
+        let kind = |vpn| sim.kernel.memmap().kind_of(gfn(&sim.kernel, vpn));
+        assert_eq!(kind(hot.start), MemKind::Slow, "the first hot page waits");
+        assert_eq!(kind(hot.start + 1), MemKind::Fast, "the second is promoted");
+        assert_eq!(kind(cold.start), MemKind::Slow, "the second victim is demoted");
     }
 
     #[test]

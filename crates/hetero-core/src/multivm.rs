@@ -557,11 +557,11 @@ impl MultiVmSim {
     }
 
     /// As [`MultiVmSim::run`], additionally returning every violation found
-    /// (always empty when `SimConfig::effective_audit` is `Off`): the
-    /// machine-level ledger conservation checks run after each scheduling
-    /// step, followed by each guest's own collected violations.
+    /// (always empty when `SimConfig::audit` is `Off`): the machine-level
+    /// ledger conservation checks run after each scheduling step, followed
+    /// by each guest's own collected violations.
     pub fn run_audited(mut self) -> (Vec<RunReport>, Vec<Violation>) {
-        let audited = self.cfg.effective_audit().is_enabled();
+        let audited = self.cfg.audit.is_enabled();
         let mut violations = std::mem::take(&mut self.violations);
         match self.cfg.sched {
             SchedMode::Dense => self.core.drive_dense(audited, &mut violations),
@@ -612,7 +612,7 @@ impl MultiVmSim {
     /// violations accumulate internally and come back from
     /// [`MultiVmSim::into_results`].
     pub fn step_fleet(&mut self) -> bool {
-        let audited = self.cfg.effective_audit().is_enabled();
+        let audited = self.cfg.audit.is_enabled();
         let Some(i) = (0..self.core.vms.len())
             .filter(|&i| !self.core.vms[i].done)
             .min_by_key(|&i| self.core.vms[i].sim.now())

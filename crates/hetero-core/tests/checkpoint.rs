@@ -19,16 +19,22 @@
 //! * the scan pipeline: five policy × tracking-source legs under eight
 //!   config and fault variants, pinned to committed digests of the report,
 //!   event log, telemetry and a half-run snapshot,
+//! * bulk demand dispatch: six placement disciplines × six seeds and the
+//!   engine chaos soak at nine seeds, pinned to committed digests of the
+//!   report and the event log or fault trace,
+//! * the two retired `SimConfig` snapshot slots, which keep their bytes
+//!   and still decode,
 //! * the failure modes: flipped version byte, wrong layer, truncation —
 //!   each a descriptive `Err`, never a panic.
 
 use hetero_core::experiments::checkpoint::{cluster_sim, fleet_sim, single_sim};
 use hetero_core::experiments::ExpOptions;
 use hetero_core::multivm::MultiVmSim;
-use hetero_core::{Cluster, Policy, SimConfig, SingleVmSim, Tracking};
+use hetero_core::{AuditLevel, Cluster, Policy, SimConfig, SingleVmSim, Tracking};
 use hetero_faults::{FaultInjector, FaultPlan};
 use hetero_mem::{FlushPolicy, TierProfile};
-use hetero_sim::snap::SnapshotError;
+use hetero_sim::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
+use hetero_sim::Runner;
 use hetero_workloads::{apps, AppWorkload, WorkloadSpec};
 
 const GB: u64 = 1 << 30;
@@ -348,6 +354,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// `d` as a digest-table literal, for re-recording a moved row.
+fn hex(d: u64) -> String {
+    format!(
+        "0x{:04x}_{:04x}_{:04x}_{:04x}",
+        d >> 48,
+        (d >> 32) & 0xffff,
+        (d >> 16) & 0xffff,
+        d & 0xffff
+    )
+}
+
 /// Per flush policy: FNV-1a digests of the persistence leg's snapshot at
 /// its first cut and of its straight run's report JSON. They pin each
 /// policy's write-behind semantics and the domain's snapshot encoding.
@@ -634,15 +651,6 @@ const SCAN_DIGESTS: [ScanDigest; 40] = [
 
 #[test]
 fn scan_pipeline_matches_recorded_digests() {
-    let hex = |d: u64| {
-        format!(
-            "0x{:04x}_{:04x}_{:04x}_{:04x}",
-            d >> 48,
-            (d >> 32) & 0xffff,
-            (d >> 16) & 0xffff,
-            d & 0xffff
-        )
-    };
     let mut moved = Vec::new();
     let mut unreached = Vec::new();
     for leg in &SCAN_LEGS {
@@ -700,6 +708,214 @@ fn scan_pipeline_matches_recorded_digests() {
     }
     assert!(moved.is_empty(), "scan digests moved:\n{}", moved.join("\n"));
     assert!(unreached.is_empty(), "{}", unreached.join("\n"));
+}
+
+/// Builds one dispatch cell from its leg, policy and seed. `"dispatch"`
+/// runs graphchi at 1/25 length with tracing on, under six placement
+/// disciplines: static chains (slow-mem-only), RNG-driven chains (random,
+/// NUMA-preferred) and demand-prioritised chains (the three OD policies).
+/// `"soak"` is the chaos soak's engine leg: graphchi at 1/20 length with
+/// `FaultPlan::for_seed` armed and the epoch audit on.
+fn dispatch_sim(leg: &str, policy: Policy, seed: u64) -> SingleVmSim<AppWorkload> {
+    let mut cfg = SimConfig::paper_default()
+        .with_capacity_ratio(1, 4)
+        .with_seed(seed);
+    let mut spec = apps::graphchi();
+    match leg {
+        "dispatch" => {
+            cfg.trace_events = 100_000;
+            spec.total_instructions /= 25;
+        }
+        "soak" => {
+            cfg = cfg.with_audit(AuditLevel::Epoch);
+            spec.total_instructions /= 20;
+        }
+        other => panic!("unknown dispatch leg {other}"),
+    }
+    let workload = AppWorkload::new(spec, cfg.page_size, cfg.scale);
+    let mut sim = SingleVmSim::new(cfg, policy, workload);
+    if leg == "soak" {
+        sim.set_fault_injector(FaultInjector::new(FaultPlan::for_seed(seed)));
+    }
+    sim
+}
+
+/// Per dispatch cell: FNV-1a digests of the `RunReport`'s `Debug` string
+/// and of the event log (`"dispatch"`) or the fault trace (`"soak"`). They
+/// pin the engine's run-grouped bulk demand dispatch to the per-object
+/// placement sequence: every chain decision, RNG draw, reclaim storm and
+/// injected fault lands on the same object. Recorded while a per-object
+/// scalar dispatch still existed and produced the same bytes.
+type DispatchDigest = (&'static str, Policy, u64, [u64; 2]);
+#[rustfmt::skip]
+const DISPATCH_DIGESTS: [DispatchDigest; 45] = [
+    ("dispatch", Policy::SlowMemOnly, 7, [0xeaa0_dee9_9321_8957, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::SlowMemOnly, 11, [0xeaa0_dee9_9321_8957, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::SlowMemOnly, 42, [0xeaa0_dee9_9321_8957, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::SlowMemOnly, 100, [0xeaa0_dee9_9321_8957, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::SlowMemOnly, 555, [0xeaa0_dee9_9321_8957, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::SlowMemOnly, 9001, [0xeaa0_dee9_9321_8957, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::Random, 7, [0x851f_f4ce_f020_943b, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::Random, 11, [0x2f8c_7315_da08_2138, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::Random, 42, [0x1dce_a2ed_0532_748f, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::Random, 100, [0x64c1_2764_e5b8_708d, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::Random, 555, [0x2e5d_1078_cd61_b375, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::Random, 9001, [0x395c_795a_7a73_f757, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::NumaPreferred, 7, [0xa7db_23a5_dc47_2eb5, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::NumaPreferred, 11, [0x191c_9f85_4253_c7b3, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::NumaPreferred, 42, [0x8a09_6c03_e3ec_0716, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::NumaPreferred, 100, [0x2b67_a101_7236_1bf9, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::NumaPreferred, 555, [0x0272_9786_e5ce_e2c5, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::NumaPreferred, 9001, [0xd05c_d85b_d374_e500, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::HeapIoSlabOd, 7, [0xbfbb_8440_71cb_5c36, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::HeapIoSlabOd, 11, [0xbe84_1c68_ed5d_91bd, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::HeapIoSlabOd, 42, [0xea6a_1527_b685_9103, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::HeapIoSlabOd, 100, [0x0191_e202_e11f_7414, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::HeapIoSlabOd, 555, [0x7a0e_4a33_a747_0929, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::HeapIoSlabOd, 9001, [0x23e7_2e81_5a98_8806, 0xcbf2_9ce4_8422_2325]),
+    ("dispatch", Policy::HeteroLru, 7, [0x3ea7_6bdd_955f_d2ec, 0x7b20_2b95_2df6_9348]),
+    ("dispatch", Policy::HeteroLru, 11, [0x58ba_f557_4306_cea5, 0xa17d_93f6_3a93_1a15]),
+    ("dispatch", Policy::HeteroLru, 42, [0x17ac_7fe7_9f56_14ab, 0x415d_294e_756b_c320]),
+    ("dispatch", Policy::HeteroLru, 100, [0xe745_48a7_0ac4_7a14, 0x7b8f_8bfe_21f3_03bc]),
+    ("dispatch", Policy::HeteroLru, 555, [0x89b5_6531_ad8c_f895, 0x06cd_98ea_571b_cefc]),
+    ("dispatch", Policy::HeteroLru, 9001, [0x5857_5faf_9689_2787, 0x499f_5180_6d8a_b238]),
+    ("dispatch", Policy::HeteroCoordinated, 7, [0x49cb_bb42_ac01_24b1, 0x3a5e_197a_f89c_59de]),
+    ("dispatch", Policy::HeteroCoordinated, 11, [0xc8a1_2e74_c31f_8dc9, 0x9475_8dbf_e7ef_2d59]),
+    ("dispatch", Policy::HeteroCoordinated, 42, [0xe36b_16e5_1e2e_b1e6, 0xede8_9a71_849d_0843]),
+    ("dispatch", Policy::HeteroCoordinated, 100, [0x66f2_d49c_725a_650f, 0x90a9_6a06_7a8d_ab73]),
+    ("dispatch", Policy::HeteroCoordinated, 555, [0x10df_ea81_a376_1636, 0x084e_8c74_8c48_757d]),
+    ("dispatch", Policy::HeteroCoordinated, 9001, [0xbb88_7ecf_6139_5985, 0xdb58_42bd_e3b3_88e6]),
+    ("soak", Policy::HeteroCoordinated, 100, [0xb7a3_1a0f_870b_40b5, 0x53ff_4559_1eb5_0386]),
+    ("soak", Policy::HeteroCoordinated, 101, [0x58b4_11fa_df85_6ea7, 0x4636_71a3_eabb_d360]),
+    ("soak", Policy::HeteroCoordinated, 102, [0xa5ba_b734_a483_15f6, 0xcbf2_9ce4_8422_2325]),
+    ("soak", Policy::HeteroCoordinated, 103, [0x82d2_ded1_87c7_2082, 0xbe21_2e5a_27b3_5bc1]),
+    ("soak", Policy::HeteroCoordinated, 104, [0xd525_d874_2042_f475, 0x1879_95b2_0b90_8525]),
+    ("soak", Policy::HeteroCoordinated, 105, [0xc700_dce7_4720_b4d8, 0xcbf2_9ce4_8422_2325]),
+    ("soak", Policy::HeteroCoordinated, 106, [0xede2_1a71_0e5c_1993, 0x813c_a8a9_73b5_c31c]),
+    ("soak", Policy::HeteroCoordinated, 107, [0x0de7_b3cb_4d21_485e, 0x2583_9786_4a4f_c5ed]),
+    ("soak", Policy::HeteroCoordinated, 108, [0xc6a2_83d5_bba6_eaba, 0xcbf2_9ce4_8422_2325]),
+];
+
+#[test]
+fn bulk_dispatch_matches_recorded_digests() {
+    let results = Runner::new(0).run(DISPATCH_DIGESTS.to_vec(), |(leg, policy, seed, _)| {
+        let mut sim = dispatch_sim(leg, policy, seed);
+        while sim.step() {}
+        let log = match sim.fault_injector() {
+            Some(injector) => injector.trace().to_text(),
+            None => {
+                let events = sim.events().expect("tracing is on");
+                assert_eq!(
+                    events.dropped(),
+                    0,
+                    "{leg}/{policy:?}/{seed}: event log wrapped"
+                );
+                events.iter().map(|e| format!("{e}\n")).collect()
+            }
+        };
+        assert!(
+            sim.violations().is_empty(),
+            "{leg}/{policy:?}/{seed}: invariant violations: {:?}",
+            sim.violations()
+        );
+        (format!("{:?}", sim.report()), log)
+    });
+    let mut moved = Vec::new();
+    for ((leg, policy, seed, want), (report, log)) in DISPATCH_DIGESTS.iter().zip(&results) {
+        let got = [fnv1a(report.as_bytes()), fnv1a(log.as_bytes())];
+        if got != *want {
+            moved.push(format!(
+                "    (\"{leg}\", Policy::{policy:?}, {seed}, [{}, {}]),",
+                hex(got[0]),
+                hex(got[1])
+            ));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "dispatch digests moved:\n{}",
+        moved.join("\n")
+    );
+    let logged = |leg| {
+        DISPATCH_DIGESTS
+            .iter()
+            .zip(&results)
+            .any(|(row, (_, log))| row.0 == leg && !log.is_empty())
+    };
+    assert!(logged("dispatch"), "no dispatch cell traced a single event");
+    assert!(logged("soak"), "no soak cell injected a single fault");
+}
+
+/// FNV-1a of `SimConfig::paper_default()`'s encoding, which opens every
+/// snapshot. Recorded while `SimConfig` still had the two retired flags
+/// whose one-byte slots the encoding keeps.
+const CONFIG_DIGEST: u64 = 0xc966_f971_0221_e1c7;
+
+#[test]
+fn retired_config_slots_keep_their_bytes_and_meaning() {
+    let encode = |cfg: &SimConfig| {
+        let mut w = SnapWriter::new();
+        cfg.snap(&mut w);
+        w.into_bytes()
+    };
+    let decode = |bytes: &[u8]| -> Result<SimConfig, SnapshotError> {
+        let mut r = SnapReader::new(bytes);
+        let cfg = SimConfig::unsnap(&mut r)?;
+        r.finish()?;
+        Ok(cfg)
+    };
+    let bytes = encode(&SimConfig::paper_default());
+    assert_eq!(fnv1a(&bytes), CONFIG_DIGEST, "config encoding moved");
+    // The retired slots follow `app_hints`: find it by flipping it.
+    let hinted = encode(&SimConfig {
+        app_hints: true,
+        ..SimConfig::paper_default()
+    });
+    let app_hints = bytes
+        .iter()
+        .zip(&hinted)
+        .position(|(a, b)| a != b)
+        .expect("app_hints has a byte of its own");
+    let (bulk, legacy_audit) = (app_hints + 1, app_hints + 2);
+    assert_eq!(bytes[bulk..=legacy_audit], [1, 0]);
+
+    // A snapshot saved from a scalar-dispatch run decodes to the same config.
+    let mut scalar = bytes.clone();
+    scalar[bulk] = 0;
+    assert_eq!(
+        encode(&decode(&scalar).expect("bulk slot 0 decodes")),
+        bytes
+    );
+
+    // The legacy audit flag restores as the epoch audit when no level is set,
+    // and yields to an explicit level.
+    let mut legacy = bytes.clone();
+    legacy[legacy_audit] = 1;
+    let cfg = decode(&legacy).expect("audit slot 1 decodes");
+    assert_eq!(cfg.audit, AuditLevel::Epoch);
+    assert_eq!(
+        encode(&SimConfig {
+            audit: AuditLevel::Off,
+            ..cfg
+        }),
+        bytes
+    );
+    let mut legacy = encode(&SimConfig::paper_default().with_audit(AuditLevel::Paranoid));
+    legacy[legacy_audit] = 1;
+    let cfg = decode(&legacy).expect("audit slot 1 decodes");
+    assert_eq!(cfg.audit, AuditLevel::Paranoid);
+
+    // Either slot still decodes as a bool.
+    for slot in [bulk, legacy_audit] {
+        let mut bad = bytes.clone();
+        bad[slot] = 2;
+        let err = decode(&bad).expect_err("a bool slot of 2 is corrupt");
+        assert_eq!(
+            err,
+            SnapshotError::corrupt("invalid bool byte 2"),
+            "slot {slot}"
+        );
+    }
 }
 
 #[test]

@@ -101,7 +101,11 @@ pub struct FaultPlan {
     pub delay_max_ticks: u32,
     /// P(the ring spuriously reports full) per post.
     pub ring_full: f64,
-    /// P(the guest crashes) per step.
+    /// P(the guest crashes) per step. Drawn only by callers of
+    /// [`FaultInjector::crash_guest`](crate::FaultInjector::crash_guest),
+    /// which restart the whole guest (the VMM chaos soak). `SingleVmSim`
+    /// never draws it: the engine's crashes come from `host_power_loss`
+    /// and `guest_crash_persist`.
     pub guest_crash: f64,
     /// P(the host loses power) per step — flushed NVM frames survive,
     /// unflushed NVM frames are torn, volatile tiers are lost.
@@ -172,7 +176,12 @@ impl FaultPlan {
     }
 
     /// Sustained pressure on every boundary, including rare guest crashes —
-    /// the plan the chaos soak leans on hardest.
+    /// the plan the chaos soak leans on hardest. The crashes come from
+    /// `guest_crash`, which only callers of
+    /// [`FaultInjector::crash_guest`](crate::FaultInjector::crash_guest)
+    /// draw; `SingleVmSim` (and the fleet and cluster built on it) draws
+    /// only `host_power_loss` and `guest_crash_persist`, both 0 here, so
+    /// a heavy plan never crashes an engine run.
     pub fn heavy(seed: u64) -> Self {
         FaultPlan {
             alloc_fail: 0.15,

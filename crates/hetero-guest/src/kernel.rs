@@ -625,20 +625,6 @@ impl GuestKernel {
         Ok(gfn)
     }
 
-    /// Allocates one buffer-cache page (filesystem journal/metadata block).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocFailed`] when every tier is exhausted.
-    pub fn alloc_buffer_page(
-        &mut self,
-        heat: u8,
-        preference: &[MemKind],
-    ) -> Result<Gfn, AllocFailed> {
-        let (gfn, _) = self.alloc_page(PageType::BufferCache, heat, preference)?;
-        Ok(gfn)
-    }
-
     /// Brings one buffer-cache block in under a `(file, offset)` identity so
     /// callers can address it stably across migrations (mirrors
     /// [`GuestKernel::page_in`] for [`PageType::BufferCache`]).
@@ -758,19 +744,6 @@ impl GuestKernel {
         self.mm.page_mut(gfn).flags.insert(PageFlags::DIRTY);
     }
 
-    /// Drops a file's pages from the cache and frees them.
-    pub fn drop_file(&mut self, file: FileId) -> u64 {
-        let pages = self.cache.remove_file(file);
-        let n = pages.len() as u64;
-        for gfn in pages {
-            // remove_file already unindexed them; clear rmap so free_page
-            // does not double-remove.
-            self.mm.set_rmap(gfn, RMap::None);
-            self.free_page(gfn);
-        }
-        n
-    }
-
     // --------------------------------------------------------------- slabs
 
     /// Allocates one kernel object, growing the slab with a page of the
@@ -808,22 +781,6 @@ impl GuestKernel {
             .expect("fresh page provided");
         debug_assert_eq!(gfn, new_page);
         Ok(gfn)
-    }
-
-    /// Frees one kernel object living on `page`; releases the page when its
-    /// slab empties (eagerly deactivating first would be moot — it is gone).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is not a slab page of that class.
-    pub fn slab_free(&mut self, class: SlabClass, page: Gfn) {
-        let cache = match class {
-            SlabClass::Skbuff => &mut self.skbuff,
-            SlabClass::FsMeta => &mut self.fs_meta,
-        };
-        if let Some(empty) = cache.free_object(page) {
-            self.free_page(empty);
-        }
     }
 
     /// Frees one object of a class without naming its page (round-trip
@@ -1407,17 +1364,9 @@ impl GuestKernel {
 
     /// Batched scan of resident pages across the whole guest-frame space,
     /// as a VMM walking its per-VM reverse map would see them. Starts at
-    /// `cursor`, visits at most `limit` *frames* (present or not), and
-    /// returns the present ones plus the wrapped-around next cursor.
-    pub fn scan_resident(&self, cursor: u64, limit: u64) -> (Vec<Gfn>, u64) {
-        let mut out = Vec::new();
-        let next = self.scan_resident_into(cursor, limit, &mut out);
-        (out, next)
-    }
-
-    /// As [`GuestKernel::scan_resident`], but appends present frames to a
-    /// caller-owned buffer (per-scan scratch reuse) and returns only the
-    /// wrapped-around next cursor.
+    /// `cursor`, visits at most `limit` *frames* (present or not), appends
+    /// the present ones to a caller-owned buffer (per-scan scratch reuse)
+    /// and returns the wrapped-around next cursor.
     pub fn scan_resident_into(&self, cursor: u64, limit: u64, out: &mut Vec<Gfn>) -> u64 {
         let total = self.mm.total_frames();
         if total == 0 || limit == 0 {
@@ -1884,7 +1833,7 @@ mod tests {
         assert_eq!(gfn, gfn2);
         // Cached file pages start inactive, re-reference activates.
         assert!(k.memmap().page(gfn).flags.contains(PageFlags::ACTIVE));
-        assert_eq!(k.drop_file(f), 1);
+        assert!(k.drop_cache_page(f, 0));
         assert_eq!(k.memmap().resident_pages(PageType::PageCache), 0);
     }
 
@@ -1912,9 +1861,9 @@ mod tests {
             .unwrap();
         assert_eq!(p1, p2);
         assert_eq!(k.memmap().resident_pages(PageType::NetBuf), 1);
-        k.slab_free(SlabClass::Skbuff, p1);
+        assert!(k.slab_free_any(SlabClass::Skbuff));
         assert_eq!(k.memmap().resident_pages(PageType::NetBuf), 1);
-        k.slab_free(SlabClass::Skbuff, p2);
+        assert!(k.slab_free_any(SlabClass::Skbuff));
         assert_eq!(k.memmap().resident_pages(PageType::NetBuf), 0);
         assert_eq!(k.slab_objects(SlabClass::Skbuff), 0);
     }
@@ -2284,12 +2233,13 @@ mod tests {
             .alloc_page(PageType::HeapAnon, 1, &[MemKind::Slow])
             .unwrap();
         let total = k.memmap().total_frames();
-        let (found, next) = k.scan_resident(0, total);
+        let mut found = Vec::new();
+        let next = k.scan_resident_into(0, total, &mut found);
         assert!(found.contains(&a) && found.contains(&b));
         assert_eq!(found.len(), 2);
         assert_eq!(next, 0, "full scan wraps to start");
         // Batched scan makes progress.
-        let (_, next) = k.scan_resident(0, 10);
+        let next = k.scan_resident_into(0, 10, &mut Vec::new());
         assert_eq!(next, 10);
     }
 

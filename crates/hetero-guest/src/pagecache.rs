@@ -118,12 +118,10 @@ impl FileSlots {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PageCache {
-    /// `BTreeMap` keyed by file so bulk observations
-    /// ([`PageCache::remove_file`], [`PageCache::iter`]) walk entries in
-    /// `(file, offset)` order rather than a per-process hash order —
-    /// dropped pages re-enter the page allocator in a reproducible
-    /// sequence. A handful of files exist at once; per-offset work inside
-    /// each file is O(1) via [`FileSlots`].
+    /// `BTreeMap` keyed by file so [`PageCache::iter`] and the snapshot
+    /// walk entries in `(file, offset)` order rather than a per-process
+    /// hash order. A handful of files exist at once; per-offset work
+    /// inside each file is O(1) via [`FileSlots`].
     files: BTreeMap<u64, FileSlots>,
     /// Live entries across all files.
     total: usize,
@@ -185,18 +183,6 @@ impl PageCache {
             self.files.remove(&file.0);
         }
         Some(prev)
-    }
-
-    /// Drops every page of a file (file close / truncate), returning them
-    /// in ascending offset order.
-    pub fn remove_file(&mut self, file: FileId) -> Vec<Gfn> {
-        match self.files.remove(&file.0) {
-            Some(slots) => {
-                self.total -= slots.live;
-                slots.iter().map(|(_, g)| g).collect()
-            }
-            None => Vec::new(),
-        }
     }
 
     /// Every `(file, offset, frame)` entry, in ascending `(file, offset)`
@@ -270,19 +256,6 @@ mod tests {
         assert_eq!(c.insert(FileId(1), 3, Gfn(10)), None);
         assert_eq!(c.insert(FileId(1), 3, Gfn(11)), Some(Gfn(10)));
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn remove_file_drops_only_that_file() {
-        let mut c = PageCache::new();
-        c.insert(FileId(1), 0, Gfn(1));
-        c.insert(FileId(1), 1, Gfn(2));
-        c.insert(FileId(2), 0, Gfn(3));
-        let mut dropped = c.remove_file(FileId(1));
-        dropped.sort();
-        assert_eq!(dropped, vec![Gfn(1), Gfn(2)]);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.lookup(FileId(2), 0), Some(Gfn(3)));
     }
 
     #[test]

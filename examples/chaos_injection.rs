@@ -8,7 +8,7 @@
 //!
 //! The same seed always produces the same fault trace — rerun it and diff.
 
-use heteroos::core::{Policy, SimConfig, SingleVmSim};
+use heteroos::core::{AuditLevel, Policy, SimConfig, SingleVmSim};
 use heteroos::faults::{FaultInjector, FaultPlan};
 use heteroos::workloads::{apps, AppWorkload};
 
@@ -21,7 +21,7 @@ fn main() {
     let cfg = SimConfig::paper_default()
         .with_capacity_ratio(1, 4)
         .with_seed(seed)
-        .with_audit_invariants(true);
+        .with_audit(AuditLevel::Epoch);
     let mut spec = apps::graphchi();
     spec.total_instructions /= 10;
     let wl = AppWorkload::new(spec, cfg.page_size, cfg.scale);

@@ -4,7 +4,7 @@
 //! Three harnesses, each run over many seeds:
 //!
 //! * **engine soak** — `SingleVmSim` with an armed `FaultInjector` and
-//!   `audit_invariants` on: injected FastMem outages degrade placement,
+//!   the epoch audit on: injected FastMem outages degrade placement,
 //!   latency storms dilate pricing, migrations fail transiently — and the
 //!   guest kernel's books must still balance after every epoch,
 //! * **kernel soak** — a bare `GuestKernel` churned through mmap/munmap,
@@ -46,15 +46,10 @@ fn per_seed<T: Send>(f: impl Fn(u64) -> T + Sync) -> Vec<(u64, T)> {
 // ------------------------------------------------------------ engine soak
 
 fn engine_soak_once(seed: u64) -> String {
-    engine_soak_with(seed, true)
-}
-
-fn engine_soak_with(seed: u64, bulk_ops: bool) -> String {
     let cfg = SimConfig::paper_default()
         .with_capacity_ratio(1, 4)
         .with_seed(seed)
-        .with_bulk_ops(bulk_ops)
-        .with_audit_invariants(true);
+        .with_audit(AuditLevel::Epoch);
     let mut spec = apps::graphchi();
     spec.total_instructions /= 20;
     let wl = AppWorkload::new(spec, cfg.page_size, cfg.scale);
@@ -88,22 +83,6 @@ fn engine_survives_fault_plans_with_clean_invariants() {
         any_faults,
         "soak is vacuous: no plan injected a single fault"
     );
-}
-
-#[test]
-fn bulk_dispatch_preserves_fault_traces_exactly() {
-    // The bulk allocation path (PR 2) must not move a single fault: the
-    // injector's decisions key off step/draw order, so a byte-identical
-    // trace under both dispatch modes proves the bulk path preserves the
-    // engine's exact operation sequence even while faults degrade it.
-    for (seed, (bulk, scalar)) in
-        per_seed(|seed| (engine_soak_with(seed, true), engine_soak_with(seed, false)))
-    {
-        assert_eq!(
-            bulk, scalar,
-            "seed {seed}: bulk vs scalar fault trace diverged"
-        );
-    }
 }
 
 // ----------------------------------------------- layered sanitizer soak

@@ -141,8 +141,8 @@ fn dropping_a_file_twice_is_idempotent() {
     for off in 0..4 {
         k.page_in(FileId(7), off, 50, &[MemKind::Slow]).unwrap();
     }
-    assert_eq!(k.drop_file(FileId(7)), 4);
-    assert_eq!(k.drop_file(FileId(7)), 0);
+    assert_eq!(k.drop_cache_pages(FileId(7), 0..4), 4);
+    assert_eq!(k.drop_cache_pages(FileId(7), 0..4), 0);
     assert_eq!(k.memmap().resident_pages(PageType::PageCache), 0);
 }
 
