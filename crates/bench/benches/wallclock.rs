@@ -16,7 +16,9 @@
 //!   `repro_epochs`, `idle_fleet`, `cluster_step`, snapshot save/restore)
 //!   against the committed `BENCH_substrate.json` and exit non-zero on a
 //!   regression above 2x, or when the file or a gated entry is missing.
-//!   Does **not** rewrite the committed baseline.
+//!   A gated bench that reads above 2x is timed up to [`RETIMES`] more
+//!   times and gated on its fastest reading, so one noisy sample cannot
+//!   fail the gate. Does **not** rewrite the committed baseline.
 
 use std::time::Instant;
 
@@ -37,6 +39,55 @@ const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_substra
 
 /// Regression gate for `--check`.
 const MAX_REGRESSION: f64 = 2.0;
+
+/// Extra timings `--check` takes of a gated bench that reads above
+/// [`MAX_REGRESSION`] before it fails the gate on the fastest one.
+const RETIMES: usize = 2;
+
+/// The benches `--check` gates, each against its committed entry.
+const GATED: [&str; 7] = [
+    "object_traffic_bulk",
+    "object_traffic_scalar",
+    "repro_epochs",
+    "idle_fleet",
+    "cluster_step",
+    "snapshot_save",
+    "snapshot_restore",
+];
+
+/// Every bench of a run, in output order. `scale` divides the iteration
+/// counts (`--smoke` runs at 1/20).
+const BENCHES: [&str; 11] = [
+    "buddy_churn",
+    "full_vm_scan",
+    "lru_transitions",
+    "repro_epochs",
+    "object_traffic_scalar",
+    "object_traffic_bulk",
+    "idle_fleet",
+    "idle_fleet_busy",
+    "cluster_step",
+    "snapshot_save",
+    "snapshot_restore",
+];
+
+/// Runs the bench called `name` once.
+fn run_named(name: &str, scale: u64) -> BenchResult {
+    match name {
+        "buddy_churn" => bench_buddy_churn(2_000 / scale),
+        "full_vm_scan" => bench_full_vm_scan(60 / scale),
+        "lru_transitions" => bench_lru_transitions(100 / scale),
+        "repro_epochs" => bench_repro_epochs((10 / scale).max(1)),
+        "object_traffic_scalar" => bench_object_traffic_scalar(20_000 / scale),
+        "object_traffic_bulk" => bench_object_traffic_bulk(20_000 / scale),
+        "idle_fleet" => bench_idle_fleet("idle_fleet", 6, 58),
+        "idle_fleet_busy" => bench_idle_fleet("idle_fleet_busy", 6, 0),
+        "cluster_step" => bench_cluster_step(),
+        "snapshot_save" => bench_snapshot_save((200 / scale).max(1)),
+        "snapshot_restore" => bench_snapshot_restore((200 / scale).max(1)),
+        other => panic!("no bench called {other}"),
+    }
+}
 
 struct BenchResult {
     name: &'static str,
@@ -312,32 +363,35 @@ fn baseline_ns_per_op(json: &str, name: &str) -> Option<f64> {
     value.parse().ok()
 }
 
-fn check_regression(results: &[BenchResult]) -> bool {
+/// Gates each [`GATED`] bench's reading in `results` against its committed
+/// entry; a reading above the bound is re-timed with `retime` up to
+/// [`RETIMES`] times, and the fastest reading decides.
+fn check_regression(results: &[BenchResult], retime: impl Fn(&str) -> BenchResult) -> bool {
     let Ok(json) = std::fs::read_to_string(BASELINE) else {
         eprintln!("--check: cannot read the committed {BASELINE}");
         return false;
     };
     let mut ok = true;
-    for name in [
-        "object_traffic_bulk",
-        "object_traffic_scalar",
-        "repro_epochs",
-        "idle_fleet",
-        "cluster_step",
-        "snapshot_save",
-        "snapshot_restore",
-    ] {
+    for name in GATED {
         let Some(committed) = baseline_ns_per_op(&json, name) else {
             eprintln!("--check: baseline has no entry for {name}");
             ok = false;
             continue;
         };
-        let measured = results
+        let mut measured = results
             .iter()
             .find(|r| r.name == name)
             .expect("bench always runs")
             .ns_per_op;
-        let ratio = measured / committed.max(f64::MIN_POSITIVE);
+        let committed = committed.max(f64::MIN_POSITIVE);
+        for _ in 0..RETIMES {
+            if measured / committed <= MAX_REGRESSION {
+                break;
+            }
+            println!("check {name}: {:.2}x of committed baseline, timing again", measured / committed);
+            measured = measured.min(retime(name).ns_per_op);
+        }
+        let ratio = measured / committed;
         if ratio > MAX_REGRESSION {
             eprintln!(
                 "REGRESSION: {name} measured {measured:.1} ns/op vs committed \
@@ -357,19 +411,7 @@ fn main() {
     let check = args.iter().any(|a| a == "--check");
     let scale = if smoke { 20 } else { 1 };
 
-    let mut results = vec![
-        bench_buddy_churn(2_000 / scale),
-        bench_full_vm_scan(60 / scale),
-        bench_lru_transitions(100 / scale),
-        bench_repro_epochs((10 / scale).max(1)),
-        bench_object_traffic_scalar(20_000 / scale),
-        bench_object_traffic_bulk(20_000 / scale),
-        bench_idle_fleet("idle_fleet", 6, 58),
-        bench_idle_fleet("idle_fleet_busy", 6, 0),
-        bench_cluster_step(),
-        bench_snapshot_save((200 / scale).max(1)),
-        bench_snapshot_restore((200 / scale).max(1)),
-    ];
+    let mut results: Vec<BenchResult> = BENCHES.iter().map(|name| run_named(name, scale)).collect();
     // The end-to-end Fig 9 sweep takes seconds per iteration; only the
     // full (baseline-writing) mode pays for it. `--check` never gates on
     // the fig9 entries, so smoke runs lose nothing.
@@ -410,7 +452,7 @@ fn main() {
     }
 
     if check {
-        if !check_regression(&results) {
+        if !check_regression(&results, |name| run_named(name, scale)) {
             std::process::exit(1);
         }
     } else {

@@ -786,6 +786,23 @@ impl<W: Workload> SingleVmSim<W> {
         self.persist.as_ref()
     }
 
+    /// Restore-time check: every frame the persistence domain tracks lies
+    /// in the memmap's SlowMem (NVM) range, the frames a sweep walks and
+    /// recovery reads back.
+    fn check_persist_frames(&self) -> Result<(), hetero_sim::snap::SnapshotError> {
+        let Some((first, last)) = self.persist.as_ref().and_then(PersistDomain::frame_span) else {
+            return Ok(());
+        };
+        let nvm = self.kernel.memmap().range(MemKind::Slow);
+        if nvm.contains(&first) && nvm.contains(&last) {
+            return Ok(());
+        }
+        Err(hetero_sim::snap::SnapshotError::corrupt(format!(
+            "persistence domain tracks frames {first}..={last}, outside the NVM tier's frames {}..{}",
+            nvm.start, nvm.end
+        )))
+    }
+
     /// Crash→recover cycles performed so far.
     pub fn recoveries(&self) -> u64 {
         self.recoveries
@@ -802,8 +819,8 @@ impl<W: Workload> SingleVmSim<W> {
     }
 
     /// End-of-epoch write-behind pass over the NVM tier: one
-    /// [`PersistDomain::sweep`] over every present SlowMem frame's write
-    /// activity, then the flush policy's `clflush`/`sfence` traffic for
+    /// [`PersistDomain::sweep`] over the SlowMem descriptors' residency and
+    /// write activity, then the flush policy's `clflush`/`sfence` traffic for
     /// whatever the policy drained this epoch. A no-op (zero cost, zero
     /// telemetry, zero RNG draws) when the flush policy is `Off`.
     fn update_persistence(&mut self) {
@@ -811,20 +828,14 @@ impl<W: Workload> SingleVmSim<W> {
             return;
         };
         let mm = self.kernel.memmap();
-        let to_flush = dom.sweep(
-            self.epochs,
-            mm.iter_kind(MemKind::Slow).filter_map(|gfn| {
-                let p = mm.page(gfn);
-                // Write-hot pages re-dirty faster than any flusher drains
-                // them; a set dirty bit marks an unflushed buffered write
-                // even on read-mostly pages.
-                p.is_present().then(|| {
-                    let written =
-                        p.write_heat > PERSIST_WRITE_HOT || p.flags.contains(PageFlags::DIRTY);
-                    (gfn.0, written)
-                })
-            }),
-        );
+        let base = mm.range(MemKind::Slow).start;
+        let to_flush = dom.sweep(self.epochs, base, mm.tier_pages(MemKind::Slow), |p| {
+            // Write-hot pages re-dirty faster than any flusher drains
+            // them; a set dirty bit marks an unflushed buffered write
+            // even on read-mostly pages.
+            p.is_present()
+                .then(|| p.write_heat > PERSIST_WRITE_HOT || p.flags.contains(PageFlags::DIRTY))
+        });
         if to_flush > 0 {
             let span = self.span_open("persist-flush");
             let cost = self.cfg.costs.flush_cost(self.cfg.real_pages(to_flush));
@@ -2299,7 +2310,7 @@ hetero_sim::impl_snap!(struct SingleVmSim {
     recoveries,
     recovered_frames,
     lost_frames,
-});
+} validate SingleVmSim::check_persist_frames);
 
 impl SingleVmSim<AppWorkload> {
     /// Serializes the complete engine state — kernel, RNG stream, clock,
@@ -2662,6 +2673,59 @@ mod tests {
             eager.runtime,
             off.runtime
         );
+    }
+
+    /// A snapshot whose persistence domain names a frame outside the NVM
+    /// tier is refused at restore, never later as an out-of-bounds frame in
+    /// recovery; the snapshot it was mutated from restores and recovers.
+    #[test]
+    fn restore_rejects_persistence_frames_outside_the_nvm_tier() {
+        use hetero_sim::snap::{Snap, SnapWriter, SnapshotError};
+        let cfg = quick_cfg().with_persist(hetero_mem::FlushPolicy::EpochBatched);
+        let wl = AppWorkload::new(short_spec(apps::redis()), cfg.page_size, cfg.scale);
+        let mut sim = SingleVmSim::new(cfg, Policy::HeteroCoordinated, wl);
+        for _ in 0..20 {
+            assert!(sim.step());
+        }
+        let bytes = sim.save();
+        let dom = sim.persist_domain().expect("the policy arms the domain");
+        let mut w = SnapWriter::new();
+        dom.snap(&mut w);
+        let own = w.into_bytes();
+        let at = bytes
+            .windows(own.len())
+            .position(|window| window == own)
+            .expect("the snapshot holds the domain's bytes");
+        // After the policy byte and the length: each pair is a u64 frame,
+        // a state tag and, for a dirty frame (tag 0), a u32.
+        let mut pairs = vec![at + 9];
+        for _ in 1..dom.tracked() {
+            let pair = *pairs.last().unwrap();
+            pairs.push(pair + if bytes[pair + 8] == 0 { 13 } else { 9 });
+        }
+        let (first, last) = (pairs[0], *pairs.last().unwrap());
+        let mm = sim.kernel().memmap();
+        let (fast, nvm) = (mm.range(MemKind::Fast), mm.range(MemKind::Slow));
+        assert!(fast.end == nvm.start && nvm.end < 1_000_000);
+        let mutate = |pair: usize, frame: u64| {
+            let mut mutant = bytes.clone();
+            mutant[pair..pair + 8].copy_from_slice(&frame.to_le_bytes());
+            mutant
+        };
+        for (what, mutant) in [
+            ("last frame past the memmap", mutate(last, 1_000_000)),
+            ("last frame at u64::MAX", mutate(last, u64::MAX)),
+            ("last frame one past the tier", mutate(last, nvm.end)),
+            ("last frame into FastMem", mutate(last, fast.start)),
+            ("first frame into FastMem", mutate(first, nvm.start - 1)),
+        ] {
+            let restored = std::panic::catch_unwind(|| SingleVmSim::restore(&mutant));
+            let err = restored.expect("restore must not panic").err();
+            assert!(matches!(err, Some(SnapshotError::Corrupt(_))), "{what}: {err:?}");
+        }
+        let mut back = SingleVmSim::restore(&bytes).expect("the unmutated snapshot restores");
+        back.recover(FaultKind::GuestCrashPersist);
+        assert!(back.recovered_frames() > 0);
     }
 
     #[test]

@@ -715,7 +715,13 @@ fn scan_pipeline_matches_recorded_digests() {
 /// disciplines: static chains (slow-mem-only), RNG-driven chains (random,
 /// NUMA-preferred) and demand-prioritised chains (the three OD policies).
 /// `"soak"` is the chaos soak's engine leg: graphchi at 1/20 length with
-/// `FaultPlan::for_seed` armed and the epoch audit on.
+/// `FaultPlan::for_seed` armed and the epoch audit on. `"watermark"` runs
+/// nginx, at 1/25 length with tracing on, on a machine with 1/32 of the
+/// paper's SlowMem and FastMem at 1/16 of that: its I/O runs cross the
+/// FastMem watermark while another page type is prioritised (the run
+/// bound in the engine's `next_pref_run`), and its page-ins meet full
+/// tiers, so a reclaim storm hands the rest of a run back for
+/// re-placement (`bulk_io_page_ins`). No other cell reaches either.
 fn dispatch_sim(leg: &str, policy: Policy, seed: u64) -> SingleVmSim<AppWorkload> {
     let mut cfg = SimConfig::paper_default()
         .with_capacity_ratio(1, 4)
@@ -724,6 +730,13 @@ fn dispatch_sim(leg: &str, policy: Policy, seed: u64) -> SingleVmSim<AppWorkload
     match leg {
         "dispatch" => {
             cfg.trace_events = 100_000;
+            spec.total_instructions /= 25;
+        }
+        "watermark" => {
+            cfg.slow_bytes /= 32;
+            cfg = cfg.with_capacity_ratio(1, 16);
+            cfg.trace_events = 100_000;
+            spec = apps::nginx();
             spec.total_instructions /= 25;
         }
         "soak" => {
@@ -748,7 +761,7 @@ fn dispatch_sim(leg: &str, policy: Policy, seed: u64) -> SingleVmSim<AppWorkload
 /// scalar dispatch still existed and produced the same bytes.
 type DispatchDigest = (&'static str, Policy, u64, [u64; 2]);
 #[rustfmt::skip]
-const DISPATCH_DIGESTS: [DispatchDigest; 45] = [
+const DISPATCH_DIGESTS: [DispatchDigest; 46] = [
     ("dispatch", Policy::SlowMemOnly, 7, [0xeaa0_dee9_9321_8957, 0xcbf2_9ce4_8422_2325]),
     ("dispatch", Policy::SlowMemOnly, 11, [0xeaa0_dee9_9321_8957, 0xcbf2_9ce4_8422_2325]),
     ("dispatch", Policy::SlowMemOnly, 42, [0xeaa0_dee9_9321_8957, 0xcbf2_9ce4_8422_2325]),
@@ -794,6 +807,7 @@ const DISPATCH_DIGESTS: [DispatchDigest; 45] = [
     ("soak", Policy::HeteroCoordinated, 106, [0xede2_1a71_0e5c_1993, 0x813c_a8a9_73b5_c31c]),
     ("soak", Policy::HeteroCoordinated, 107, [0x0de7_b3cb_4d21_485e, 0x2583_9786_4a4f_c5ed]),
     ("soak", Policy::HeteroCoordinated, 108, [0xc6a2_83d5_bba6_eaba, 0xcbf2_9ce4_8422_2325]),
+    ("watermark", Policy::HeapIoSlabOd, 7, [0xb69e_8373_4038_56ea, 0xcbf2_9ce4_8422_2325]),
 ];
 
 #[test]

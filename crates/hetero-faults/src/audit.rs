@@ -17,9 +17,10 @@ use std::fmt;
 
 use hetero_guest::lru::{LruClass, LruRegistry};
 use hetero_guest::memmap::MemMap;
-use hetero_guest::page::{Gfn, PageFlags, PageType};
+use hetero_guest::page::{Gfn, Page, PageFlags, PageType};
 use hetero_guest::pagecache::PageCache;
 use hetero_guest::GuestKernel;
+use hetero_mem::kind::KindMap;
 use hetero_mem::MemKind;
 use hetero_vmm::drf::GuestId;
 use hetero_vmm::Vmm;
@@ -434,10 +435,15 @@ impl fmt::Display for Violation {
 /// Audits one guest kernel's internal frame accounting: per-tier frame
 /// conservation and balloon pinning, then [`audit_lru`] and
 /// [`audit_page_cache`]. Returns every violation found (empty = healthy).
+///
+/// The balloon and LRU flag counts come from one read of each descriptor.
 pub fn audit_kernel(kernel: &GuestKernel) -> Vec<Violation> {
     let mut out = Vec::new();
     let mm = kernel.memmap();
+    let mut lru_flagged: KindMap<u64> = KindMap::default();
     for &kind in MemKind::ALL.iter() {
+        let (ballooned, listed) = flag_counts(mm.tier_pages(kind));
+        lru_flagged[kind] = listed;
         let total = kernel.total_frames(kind);
         if total == 0 {
             continue;
@@ -454,26 +460,46 @@ pub fn audit_kernel(kernel: &GuestKernel) -> Vec<Violation> {
             });
         }
         // Balloon pinning: flags and ledger agree.
-        let flagged = count_flagged(mm, kind, PageFlags::BALLOONED);
         let tracked = kernel.ballooned_pages(kind);
-        if flagged != tracked {
+        if ballooned != tracked {
             out.push(Violation::BalloonAccounting {
                 kind,
-                flagged,
+                flagged: ballooned,
                 tracked,
             });
         }
     }
-    audit_lru(mm, kernel.lru(), &mut out);
+    check_lru(mm, kernel.lru(), &lru_flagged, &mut out);
     audit_page_cache(mm, kernel.page_cache(), &mut out);
     out
 }
 
-/// Frames of `kind`'s range with every bit of `flag` set.
-fn count_flagged(mm: &MemMap, kind: MemKind, flag: PageFlags) -> u64 {
-    mm.iter_kind(kind)
-        .map(|gfn| mm.page(gfn).flags.contains(flag) as u64)
-        .sum()
+/// The BALLOONED and LRU flag counts of `pages`, in one pass that counts
+/// in four independent `u32` lanes (a tier holds fewer than `u32::MAX`
+/// frames, so no lane can overflow).
+fn flag_counts(pages: &[Page]) -> (u64, u64) {
+    let flags = |p: &Page| {
+        (
+            u32::from(p.flags.contains(PageFlags::BALLOONED)),
+            u32::from(p.flags.contains(PageFlags::LRU)),
+        )
+    };
+    let (mut ballooned, mut listed) = ([0u32; 4], [0u32; 4]);
+    let mut quads = pages.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, page) in quad.iter().enumerate() {
+            let (b, l) = flags(page);
+            ballooned[lane] += b;
+            listed[lane] += l;
+        }
+    }
+    for page in quads.remainder() {
+        let (b, l) = flags(page);
+        ballooned[0] += b;
+        listed[0] += l;
+    }
+    let sum = |lanes: [u32; 4]| lanes.into_iter().map(u64::from).sum();
+    (sum(ballooned), sum(listed))
 }
 
 /// Audits LRU membership tier by tier and appends a violation for each
@@ -487,40 +513,113 @@ fn count_flagged(mm: &MemMap, kind: MemKind, flag: PageFlags) -> u64 {
 /// - [`Violation::LruClassMismatch`] — a walked page's type or tier does
 ///   not belong on the list it was reached from.
 pub fn audit_lru(mm: &MemMap, lru: &LruRegistry, out: &mut Vec<Violation>) {
+    let flagged = KindMap::from_fn(|kind| flag_counts(mm.tier_pages(kind)).1);
+    check_lru(mm, lru, &flagged, out);
+}
+
+/// One list's walk in [`check_lru`].
+#[derive(Debug, Clone, Copy)]
+struct ListWalk {
+    kind: MemKind,
+    class: LruClass,
+    /// The next page to visit, while the walk is unfinished.
+    at: Gfn,
+    /// Pages visited so far.
+    walked: u64,
+    /// Pages the list records.
+    listed: u64,
+}
+
+/// Lists of all tiers: an active and an inactive list per tier and class.
+const MAX_LISTS: usize = MemKind::ALL.len() * 4;
+
+/// [`audit_lru`] against per-tier LRU flag counts. Every list of every
+/// tier is walked at once, one hop per unfinished list per round, so the
+/// lists' pointer chases overlap instead of running back to back. Each
+/// list keeps its findings until all walks end; they come out tier by
+/// tier — the membership check, then the anon active, anon inactive, file
+/// active and file inactive lists, each list's mismatches in walk order
+/// followed by its walk-length check.
+fn check_lru(mm: &MemMap, lru: &LruRegistry, flagged: &KindMap<u64>, out: &mut Vec<Violation>) {
+    let mut walks = [ListWalk {
+        kind: MemKind::Fast,
+        class: LruClass::Anon,
+        at: Gfn(0),
+        walked: 0,
+        listed: 0,
+    }; MAX_LISTS];
+    // Indexes of the unfinished walks; a finished one is swapped out.
+    let mut live = [0; MAX_LISTS];
+    let (mut lists, mut unfinished) = (0, 0);
     for &kind in MemKind::ALL.iter() {
         if mm.range(kind).is_empty() {
             continue;
         }
-        let flagged = count_flagged(mm, kind, PageFlags::LRU);
-        let listed = lru.listed_on(kind);
-        if listed != flagged {
-            out.push(Violation::LruMembership {
-                kind,
-                listed,
-                flagged,
-            });
-        }
         for class in [LruClass::Anon, LruClass::File] {
             let split = lru.split(kind, class);
             for list in [&split.active, &split.inactive] {
-                let mut walked = 0u64;
-                for gfn in list.iter(mm) {
-                    walked += 1;
-                    let page = mm.page(gfn);
-                    if LruClass::of(page.page_type) != Some(class) || page.kind != kind {
-                        out.push(Violation::LruClassMismatch {
-                            gfn,
-                            page_type: page.page_type,
-                        });
-                    }
+                let head = list.peek_front();
+                walks[lists] = ListWalk {
+                    kind,
+                    class,
+                    at: head.unwrap_or(Gfn(0)),
+                    walked: 0,
+                    listed: list.len(),
+                };
+                if head.is_some() {
+                    live[unfinished] = lists;
+                    unfinished += 1;
                 }
-                if walked != list.len() {
-                    out.push(Violation::LruWalk {
-                        kind,
-                        walked,
-                        listed: list.len(),
-                    });
+                lists += 1;
+            }
+        }
+    }
+    let mut found: [Vec<Violation>; MAX_LISTS] = Default::default();
+    while unfinished > 0 {
+        let mut j = 0;
+        while j < unfinished {
+            let i = live[j];
+            let walk = &mut walks[i];
+            let gfn = walk.at;
+            walk.walked += 1;
+            let page = mm.page(gfn);
+            if LruClass::of(page.page_type) != Some(walk.class) || page.kind != walk.kind {
+                found[i].push(Violation::LruClassMismatch {
+                    gfn,
+                    page_type: page.page_type,
+                });
+            }
+            // A walk stops one page past the recorded length.
+            match page.lru_next().filter(|_| walk.walked <= walk.listed) {
+                Some(next) => {
+                    walk.at = next;
+                    j += 1;
                 }
+                None => {
+                    unfinished -= 1;
+                    live[j] = live[unfinished];
+                }
+            }
+        }
+    }
+    for (tier, walks) in walks[..lists].chunks(4).enumerate() {
+        let kind = walks[0].kind;
+        let listed = lru.listed_on(kind);
+        if listed != flagged[kind] {
+            out.push(Violation::LruMembership {
+                kind,
+                listed,
+                flagged: flagged[kind],
+            });
+        }
+        for (walk, found) in walks.iter().zip(&mut found[tier * 4..]) {
+            out.append(found);
+            if walk.walked != walk.listed {
+                out.push(Violation::LruWalk {
+                    kind,
+                    walked: walk.walked,
+                    listed: walk.listed,
+                });
             }
         }
     }
@@ -768,6 +867,92 @@ mod tests {
                 gfn: Gfn(1),
                 page_type: PageType::BufferCache,
             }]
+        );
+    }
+
+    /// Findings on several lists of both tiers come out tier by tier:
+    /// the tier's membership count first, then each list's findings in
+    /// walk order, lists in anon-active, anon-inactive, file-active,
+    /// file-inactive order. The expected vector was recorded from a walk
+    /// that visited one list at a time.
+    #[test]
+    fn violations_on_many_lists_keep_their_order() {
+        let mut mm = MemMap::new(&[(MemKind::Fast, 16), (MemKind::Slow, 16)]);
+        let mut lru = LruRegistry::new();
+        let lists: [(u64, PageType, bool); 16] = [
+            (0, PageType::HeapAnon, true),
+            (1, PageType::HeapAnon, true),
+            (2, PageType::HeapAnon, true),
+            (3, PageType::HeapAnon, false),
+            (4, PageType::HeapAnon, false),
+            (5, PageType::PageCache, true),
+            (6, PageType::PageCache, true),
+            (7, PageType::PageCache, false),
+            (16, PageType::HeapAnon, true),
+            (17, PageType::HeapAnon, true),
+            (18, PageType::HeapAnon, false),
+            (19, PageType::PageCache, true),
+            (20, PageType::Slab, true),
+            (21, PageType::PageCache, false),
+            (22, PageType::BufferCache, false),
+            (23, PageType::NetBuf, false),
+        ];
+        for (g, t, active) in lists {
+            mm.set_allocated(Gfn(g), t, 100);
+            if active {
+                lru.insert_active(&mut mm, Gfn(g));
+            } else {
+                lru.insert_inactive(&mut mm, Gfn(g));
+            }
+        }
+        // Fast anon active (2, 1, 0): a page-cache page on the anon list.
+        mm.page_mut(Gfn(1)).page_type = PageType::BufferCache;
+        // Fast anon inactive (4, 3): a broken link ends the walk early.
+        mm.page_mut(Gfn(4)).set_lru_next(None);
+        // Fast file active (6, 5): a heap page on the file list.
+        mm.page_mut(Gfn(6)).page_type = PageType::HeapAnon;
+        // Slow: one flagged page no list holds.
+        mm.set_allocated(Gfn(25), PageType::HeapAnon, 1);
+        mm.page_mut(Gfn(25)).flags.insert(PageFlags::LRU);
+        // Slow file inactive (23, 22, 21): 21 links back to 22, a cycle
+        // through a heap page, which the walk reaches twice.
+        mm.page_mut(Gfn(21)).set_lru_next(Some(Gfn(22)));
+        mm.page_mut(Gfn(22)).page_type = PageType::HeapAnon;
+        assert_eq!(
+            lru_violations(&mm, &lru),
+            vec![
+                Violation::LruClassMismatch {
+                    gfn: Gfn(1),
+                    page_type: PageType::BufferCache,
+                },
+                Violation::LruWalk {
+                    kind: MemKind::Fast,
+                    walked: 1,
+                    listed: 2,
+                },
+                Violation::LruClassMismatch {
+                    gfn: Gfn(6),
+                    page_type: PageType::HeapAnon,
+                },
+                Violation::LruMembership {
+                    kind: MemKind::Slow,
+                    listed: 8,
+                    flagged: 9,
+                },
+                Violation::LruClassMismatch {
+                    gfn: Gfn(22),
+                    page_type: PageType::HeapAnon,
+                },
+                Violation::LruClassMismatch {
+                    gfn: Gfn(22),
+                    page_type: PageType::HeapAnon,
+                },
+                Violation::LruWalk {
+                    kind: MemKind::Slow,
+                    walked: 4,
+                    listed: 3,
+                },
+            ]
         );
     }
 

@@ -151,11 +151,11 @@ impl LruList {
         self.tail
     }
 
-    /// Iterates from MRU to LRU (for audits, diagnostics and tests).
+    /// Iterates from MRU to LRU (for diagnostics and tests).
     ///
     /// Stops after [`LruList::len`]` + 1` pages, so a corrupt list that
-    /// cycles still ends, one page past its recorded length — which is how
-    /// the auditor tells a cycle from a healthy list.
+    /// cycles still ends, one page past its recorded length — the bound
+    /// the auditor's walk keeps too, to tell a cycle from a healthy list.
     pub fn iter<'a>(&'a self, mm: &'a MemMap) -> impl Iterator<Item = Gfn> + 'a {
         std::iter::successors(self.head, move |&g| mm.page(g).lru_next())
             .take(self.len as usize + 1)

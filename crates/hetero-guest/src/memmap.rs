@@ -130,18 +130,25 @@ impl MemMap {
 
     /// Dense recount of cold-active pages per tier — the audit oracle for
     /// the incremental ledger. Walks every frame of each tier's range with
-    /// no data-dependent branch; only the sanitizer should call this on
-    /// hot paths.
+    /// no data-dependent branch, counting in four independent `u32` lanes
+    /// (a tier holds at most [`MAX_FRAMES`] frames, so no lane can
+    /// overflow); only the sanitizer should call this on hot paths.
     pub fn recount_cold_active(&self) -> KindMap<u64> {
         let mut out: KindMap<u64> = KindMap::default();
         let Some(threshold) = self.ledger.threshold() else {
             return out;
         };
+        let cold = |p: &Page| (p.flags.contains(PageFlags::ACTIVE) & (p.heat < threshold)) as u32;
         for (kind, range) in &self.ranges {
-            out[*kind] = self.pages[range.start as usize..range.end as usize]
-                .iter()
-                .map(|p| (p.flags.contains(PageFlags::ACTIVE) & (p.heat < threshold)) as u64)
-                .sum();
+            let mut lanes = [0u32; 4];
+            let mut quads = self.pages[range.start as usize..range.end as usize].chunks_exact(4);
+            for quad in &mut quads {
+                for (lane, page) in lanes.iter_mut().zip(quad) {
+                    *lane += cold(page);
+                }
+            }
+            let rest = quads.remainder().iter().map(cold);
+            out[*kind] = lanes.into_iter().chain(rest).map(u64::from).sum();
         }
         out
     }
@@ -415,6 +422,15 @@ impl MemMap {
     /// Iterates the frames of one tier.
     pub fn iter_kind(&self, kind: MemKind) -> impl Iterator<Item = Gfn> + '_ {
         self.range(kind).map(Gfn)
+    }
+
+    /// The descriptors of one tier's frames, in frame order: element `i`
+    /// is frame `range(kind).start + i` (empty when the tier is not
+    /// configured).
+    #[inline]
+    pub fn tier_pages(&self, kind: MemKind) -> &[Page] {
+        let range = self.range(kind);
+        &self.pages[range.start as usize..range.end as usize]
     }
 }
 
