@@ -118,7 +118,7 @@ fn bench_buddy_churn(iters: u64) -> BenchResult {
     run_bench("buddy_churn", iters, move || {
         pages.clear();
         buddy.alloc_pages_bulk(256, &mut pages);
-        buddy.free_pages_bulk(pages.drain(..));
+        buddy.free_pages_bulk(&mut pages);
         512
     })
 }

@@ -452,9 +452,7 @@ impl<W: Workload> SingleVmSim<W> {
             // Swap out the coldest anonymous pages of this tier through the
             // guest swap subsystem (§4.2: the balloon "swap[s] pages to the
             // disk" once the LRU has nothing left to give).
-            let victims = self.kernel.lru_candidates(kind, (n - got) as usize, |p| {
-                p.page_type == PageType::HeapAnon
-            });
+            let victims = self.kernel.anon_lru_pages(kind, (n - got) as usize);
             if victims.is_empty() {
                 break;
             }

@@ -11,10 +11,10 @@
 //! seeded guest crashes to prove the chaos is thread-count-invariant too.
 
 use hetero_core::cluster::{ArrivalProcess, Cluster, ClusterSpec, MigrationPolicy};
-use hetero_core::multivm::VmSetup;
+use hetero_core::multivm::{MultiVmSim, VmSetup};
 use hetero_core::{AuditLevel, Policy, SimConfig};
 use hetero_mem::FlushPolicy;
-use hetero_sim::Nanos;
+use hetero_sim::{CostCategory, Nanos, Runner};
 use hetero_vmm::SharePolicy;
 use hetero_workloads::{apps, WorkloadSpec};
 
@@ -180,4 +180,208 @@ fn chaos_fleet_with_faults_armed_is_byte_identical_across_jobs() {
         let calm = chaotic(0.0, 1, seed);
         assert_ne!(seq, calm, "seed {seed}: faults never fired — soak is vacuous");
     }
+}
+
+/// 64-bit FNV-1a digest of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `d` as a digest-table literal, for re-recording a moved row.
+fn hex(d: u64) -> String {
+    format!(
+        "0x{:04x}_{:04x}_{:04x}_{:04x}",
+        d >> 48,
+        (d >> 32) & 0xffff,
+        (d >> 16) & 0xffff,
+        d & 0xffff
+    )
+}
+
+/// The round (cluster legs) or fleet step (the max-min leg) after which a
+/// leg saves its mid-run snapshot.
+const BALLOON_SAVE_AT: u64 = 12;
+
+/// A two-VM max-min fleet on a host that cannot hold both VMs' maxima:
+/// metis grows into graphchi's SlowMem until graphchi's balloon runs out
+/// of free and reclaimable pages and swaps heap pages out
+/// (`SingleVmSim::yield_pages`' swap loop).
+fn max_min_swap_fleet(seed: u64) -> MultiVmSim {
+    let setups = vec![
+        VmSetup::new(quick(apps::graphchi()), GB, 5 * GB / 2, 2 * GB, 6 * GB),
+        VmSetup::new(quick(apps::metis()), 3 * GB, 5 * GB / 2, 4 * GB, 8 * GB),
+    ];
+    MultiVmSim::new(
+        cfg(seed),
+        SharePolicy::MaxMin,
+        Policy::HeteroCoordinated,
+        setups,
+    )
+}
+
+/// Runs one balloon leg to the end: its outcome JSON (the cluster
+/// outcome, or the fleet's reports in setup order) and the snapshot it
+/// saved after [`BALLOON_SAVE_AT`] rounds or steps. `leg` is `"poisson"`
+/// (the matrix fleet above), `"max-min-swap"` ([`max_min_swap_fleet`]) or
+/// `"crash-reboot"` (the chaos fleet, whose power losses reboot guests
+/// and re-inflate their balloons through `FleetCore::reconcile_reboot`).
+fn balloon_leg(leg: &str, policy: Policy, seed: u64) -> (String, Vec<u8>) {
+    if leg == "max-min-swap" {
+        let mut fleet = max_min_swap_fleet(seed);
+        let mut snap = Vec::new();
+        let mut steps = 0;
+        while fleet.step_fleet() {
+            steps += 1;
+            if steps == BALLOON_SAVE_AT {
+                snap = fleet.save();
+            }
+        }
+        let (reports, violations) = fleet.into_results();
+        assert_eq!(violations, Vec::new(), "{leg} seed {seed}");
+        let swapped = reports.iter().any(|r| {
+            r.breakdown
+                .iter()
+                .any(|&(c, t)| c == CostCategory::IoWait && !t.is_zero())
+        });
+        assert!(swapped, "{leg} seed {seed}: no guest ever swapped");
+        let json: String = reports.iter().map(|r| r.to_json()).collect();
+        return (json, snap);
+    }
+    let (host, spec) = match leg {
+        "poisson" => (cfg(seed), poisson_spec()),
+        "crash-reboot" => {
+            let mut spec = poisson_spec();
+            spec.fault_rate = 0.05;
+            (cfg(seed).with_persist(FlushPolicy::EpochBatched), spec)
+        }
+        _ => panic!("unknown balloon leg {leg}"),
+    };
+    let mut cluster = Cluster::new(host, SharePolicy::paper_drf(), policy, spec, 1);
+    let mut snap = Vec::new();
+    let mut rounds = 0;
+    while cluster.step_round() {
+        rounds += 1;
+        if rounds == BALLOON_SAVE_AT {
+            snap = cluster.save();
+        }
+    }
+    let (outcome, violations) = cluster.finish();
+    assert_eq!(violations, Vec::new(), "{leg} {policy:?} seed {seed}");
+    (outcome.to_json(), snap)
+}
+
+/// Per balloon leg: FNV-1a digests of its outcome JSON and of its mid-run
+/// snapshot. Every guest balloon inflation and deflation of these fleets
+/// runs through the per-CPU lists and the buddy allocator, so the rows pin
+/// the allocator state they leave behind: which frames each balloon holds
+/// and in what order, the per-CPU lists, the buddy bitmaps and scan hints,
+/// and the refill counters.
+const BALLOON_DIGESTS: [(&str, Policy, u64, u64, u64); 11] = [
+    (
+        "poisson",
+        Policy::HeteroCoordinated,
+        7,
+        0x96fd_f45d_f316_f20b,
+        0x2468_8083_3081_6014,
+    ),
+    (
+        "poisson",
+        Policy::HeteroCoordinated,
+        42,
+        0x2bf1_66ed_92ee_1e55,
+        0x07be_cf59_6b02_e68d,
+    ),
+    (
+        "poisson",
+        Policy::HeteroCoordinated,
+        1009,
+        0x3292_b9c5_2d16_e917,
+        0xb22f_e54d_edf6_798e,
+    ),
+    (
+        "poisson",
+        Policy::HeteroLru,
+        7,
+        0xb9aa_109d_bbf6_3456,
+        0x2ecb_1616_6c06_2a63,
+    ),
+    (
+        "poisson",
+        Policy::HeteroLru,
+        42,
+        0x2f01_6640_2c60_f819,
+        0x41f0_fbc7_3b5b_c75f,
+    ),
+    (
+        "poisson",
+        Policy::HeteroLru,
+        1009,
+        0x09f1_d147_4bd3_2214,
+        0x3e81_d895_43c4_a82c,
+    ),
+    (
+        "poisson",
+        Policy::VmmExclusive,
+        7,
+        0xab5c_9fef_e191_28ca,
+        0x1d52_421e_97c4_f7d5,
+    ),
+    (
+        "poisson",
+        Policy::VmmExclusive,
+        42,
+        0x3749_d626_397e_8108,
+        0xc977_97f1_165a_9fd9,
+    ),
+    (
+        "poisson",
+        Policy::VmmExclusive,
+        1009,
+        0x88c5_21df_3b33_9432,
+        0x8b09_6775_d179_5ea4,
+    ),
+    (
+        "max-min-swap",
+        Policy::HeteroCoordinated,
+        7,
+        0xb85d_8804_bc29_a2fe,
+        0x41b5_e90a_d9b8_237e,
+    ),
+    (
+        "crash-reboot",
+        Policy::HeteroLru,
+        42,
+        0x35fc_aa15_3c9b_ee64,
+        0x80e4_b400_7396_ab75,
+    ),
+];
+
+#[test]
+fn balloon_digests_hold() {
+    let results = Runner::new(0).run(BALLOON_DIGESTS.to_vec(), |(leg, policy, seed, _, _)| {
+        balloon_leg(leg, policy, seed)
+    });
+    let mut moved = Vec::new();
+    for ((leg, policy, seed, outcome, snap), (json, bytes)) in BALLOON_DIGESTS.iter().zip(&results)
+    {
+        assert!(
+            !bytes.is_empty(),
+            "{leg} {policy:?} seed {seed}: ended before the save"
+        );
+        let got = (fnv1a(json.as_bytes()), fnv1a(bytes));
+        if got != (*outcome, *snap) {
+            moved.push(format!(
+                "    (\"{leg}\", Policy::{policy:?}, {seed}, {}, {}),",
+                hex(got.0),
+                hex(got.1)
+            ));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "balloon digests moved:\n{}",
+        moved.join("\n")
+    );
 }

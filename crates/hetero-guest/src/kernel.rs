@@ -11,6 +11,7 @@ use std::fmt;
 
 use hetero_mem::kind::KindMap;
 use hetero_mem::MemKind;
+use hetero_sim::snap::SnapshotError;
 
 use crate::buddy::BuddyAllocator;
 use crate::lru::LruRegistry;
@@ -323,20 +324,7 @@ impl GuestKernel {
     fn raw_alloc(&mut self, kind: MemKind) -> Option<Gfn> {
         let cpu = self.next_cpu();
         let buddy = self.buddies[kind].as_mut()?;
-        if buddy.free_frames() == 0 && self.pcp.cached_total(kind) == 0 {
-            // Exhausted tier. The path below would refill from the empty
-            // buddy (which returns before touching a scan hint), drain
-            // nothing, and refill again: only the two refill counts change.
-            self.pcp.refills += 2;
-            return None;
-        }
-        if let Some(g) = self.pcp.alloc(cpu, kind, buddy) {
-            return Some(g);
-        }
-        // Memory pressure: free pages may be stranded on other CPUs'
-        // lists. Drain them back to the buddy and retry once.
-        self.pcp.drain_kind(kind, buddy);
-        self.pcp.alloc(cpu, kind, buddy)
+        self.pcp.alloc_draining(cpu, kind, buddy)
     }
 
     /// Stands for `k` further [`GuestKernel::alloc_page`] calls on `chain`
@@ -1204,37 +1192,59 @@ impl GuestKernel {
     /// Balloon inflation: pulls `n` free pages of a tier out of the guest
     /// allocator (to be returned to the VMM). Returns the number actually
     /// reclaimed — pressure may leave fewer free.
+    ///
+    /// Exactly `n` page allocations, the last failing if the tier runs
+    /// dry: one round-robin pass over the per-CPU lists
+    /// (`PerCpuLists::alloc_round_robin`), then one pass marking the
+    /// pages' descriptors pinned and ballooned.
     pub fn balloon_inflate(&mut self, kind: MemKind, n: u64) -> u64 {
-        let mut got = 0;
-        for _ in 0..n {
-            match self.raw_alloc(kind) {
-                Some(gfn) => {
-                    self.mm.set_allocated(gfn, PageType::Dma, 0); // pinned, unlisted
-                    self.mm.page_mut(gfn).flags.insert(PageFlags::BALLOONED);
-                    self.ballooned[kind].push(gfn);
-                    got += 1;
-                }
-                None => break,
+        let Some(buddy) = self.buddies[kind].as_mut() else {
+            // The first attempt takes its CPU, then finds no tier.
+            if n > 0 {
+                self.next_cpu();
             }
+            return 0;
+        };
+        let out = &mut self.ballooned[kind];
+        let from = out.len();
+        let got = self
+            .pcp
+            .alloc_round_robin(kind, n, &mut self.next_cpu, buddy, out);
+        for &gfn in &out[from..] {
+            self.mm.set_allocated(gfn, PageType::Dma, 0); // pinned, unlisted
+            self.mm.page_mut(gfn).flags.insert(PageFlags::BALLOONED);
         }
         got
     }
 
     /// Balloon deflation: returns up to `n` ballooned pages of a tier to
-    /// the allocator. Returns the number released.
+    /// the allocator, the most recently ballooned first. Returns the
+    /// number released.
+    ///
+    /// One pass frees the pages' descriptors, then one round-robin pass
+    /// hands the pages to the per-CPU lists
+    /// (`PerCpuLists::free_round_robin`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a ballooned page is not allocated (a page's descriptor
+    /// and the allocator are independent, so the order of the passes
+    /// leaves the state of page-at-a-time frees).
     pub fn balloon_deflate(&mut self, kind: MemKind, n: u64) -> u64 {
-        let mut freed = 0;
-        for _ in 0..n {
-            match self.ballooned[kind].pop() {
-                Some(gfn) => {
-                    self.mm.page_mut(gfn).flags.remove(PageFlags::BALLOONED);
-                    self.mm.set_free(gfn);
-                    self.raw_free(gfn);
-                    freed += 1;
-                }
-                None => break,
-            }
+        let held = &mut self.ballooned[kind];
+        let freed = n.min(held.len() as u64);
+        if freed == 0 {
+            return 0;
         }
+        let from = held.len() - freed as usize;
+        for &gfn in &held[from..] {
+            self.mm.set_free(gfn); // clears BALLOONED with every other flag
+        }
+        let buddy = self.buddies[kind]
+            .as_mut()
+            .expect("ballooned pages belong to a configured tier");
+        self.pcp
+            .free_round_robin(kind, held.drain(from..).rev(), &mut self.next_cpu, buddy);
         freed
     }
 
@@ -1383,6 +1393,20 @@ impl GuestKernel {
         pos
     }
 
+    /// Up to `limit` swap-out candidates of a tier: the pages of its
+    /// anonymous LRU lists, active list first, in list order. Only heap
+    /// pages go on those lists ([`crate::lru::LruClass::of`]), and every
+    /// heap page on the LRU is on them, so no list of file pages is walked.
+    pub fn anon_lru_pages(&self, kind: MemKind, limit: usize) -> Vec<Gfn> {
+        let split = self.lru.split(kind, crate::lru::LruClass::Anon);
+        split
+            .active
+            .iter(&self.mm)
+            .chain(split.inactive.iter(&self.mm))
+            .take(limit)
+            .collect()
+    }
+
     /// Collects up to `limit` migration candidates from a tier's LRU lists
     /// (active first — hot pages worth promoting), filtering by predicate.
     pub fn lru_candidates(
@@ -1412,15 +1436,63 @@ impl GuestKernel {
 hetero_sim::impl_snap!(struct GuestConfig { frames, cpus, page_size });
 
 // Decode rejects LRU list ends and page-cache entries past the memmap,
-// which would otherwise restore and then panic on first use.
+// and allocator state the page allocator trusts, which would otherwise
+// restore and then panic on first use.
 hetero_sim::impl_snap!(struct GuestKernel {
     config, mm, buddies, pcp, lru, space, pt, cache, skbuff, fs_meta,
     stats, swap, ballooned, pt_backing, next_cpu, migrations
 } validate |k: &GuestKernel| {
     let frames = k.mm.total_frames();
     k.lru.check_frames(frames)?;
-    k.cache.check_frames(frames)
+    k.cache.check_frames(frames)?;
+    k.check_allocator()
 });
+
+impl GuestKernel {
+    /// Decode check of the page allocator against the memmap: one per-CPU
+    /// list per configured CPU and the round-robin cursor on one of them;
+    /// per tier, a buddy allocator exactly over the tier's frames, and
+    /// every per-CPU and ballooned page inside them.
+    fn check_allocator(&self) -> Result<(), SnapshotError> {
+        let cpus = self.pcp.cpus();
+        if cpus == 0 || cpus != self.config.cpus {
+            return Err(SnapshotError::corrupt(format!(
+                "{cpus} per-CPU lists for {} configured CPUs",
+                self.config.cpus
+            )));
+        }
+        if self.next_cpu >= cpus {
+            return Err(SnapshotError::corrupt(format!(
+                "next CPU {} of {cpus}",
+                self.next_cpu
+            )));
+        }
+        for kind in MemKind::ALL {
+            let range = self.mm.range(kind);
+            let covers = match &self.buddies[kind] {
+                None => range.is_empty(),
+                Some(b) => b.base() == range.start && b.total_frames() == range.end - range.start,
+            };
+            if !covers {
+                return Err(SnapshotError::corrupt(format!(
+                    "the {kind} buddy allocator does not cover the tier's frames {range:?}"
+                )));
+            }
+            self.pcp.check_frames(kind, &range)?;
+            // Branch-free over the whole balloon, which can be most of a
+            // tier; the page is looked up only to name it.
+            let outside = |g: &Gfn| g.0.wrapping_sub(range.start) >= range.end - range.start;
+            let held = &self.ballooned[kind];
+            if held.iter().fold(false, |bad, g| bad | outside(g)) {
+                let g = held.iter().find(|g| outside(g)).expect("a page is outside");
+                return Err(SnapshotError::corrupt(format!(
+                    "ballooned {kind} page {g} is outside the tier's frames {range:?}"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1528,6 +1600,164 @@ mod tests {
                 assert!(msg.contains("past the memmap's 320 frames"), "{msg}");
             }
             other => panic!("cached frame past the memmap: {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// `kernel_bytes`' kernel after a FastMem balloon inflation, which
+    /// leaves pages on its per-CPU lists, and its encoding.
+    fn ballooned_kernel_bytes() -> (GuestKernel, Vec<u8>) {
+        let (mut k, _) = kernel_bytes();
+        assert_eq!(k.balloon_inflate(MemKind::Fast, 5), 5);
+        let bytes = encoded(&k);
+        (k, bytes)
+    }
+
+    fn encoded_len<T: hetero_sim::snap::Snap>(v: &T) -> usize {
+        let mut w = hetero_sim::snap::SnapWriter::new();
+        v.snap(&mut w);
+        w.len()
+    }
+
+    fn read_u64(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    fn decode(bytes: &[u8]) -> Result<GuestKernel, SnapshotError> {
+        use hetero_sim::snap::{Snap, SnapReader};
+        let mut r = SnapReader::new(bytes);
+        let k = GuestKernel::unsnap(&mut r)?;
+        r.finish().map(|()| k)
+    }
+
+    /// `bytes` with `remove` bytes at `at` replaced by `insert`.
+    fn splice(bytes: &[u8], at: usize, remove: usize, insert: &[u8]) -> Vec<u8> {
+        let mut out = bytes[..at].to_vec();
+        out.extend_from_slice(insert);
+        out.extend_from_slice(&bytes[at + remove..]);
+        out
+    }
+
+    /// One mutant of the encoded kernel per allocator check made at
+    /// decode, each with the message it must be rejected with.
+    #[test]
+    fn decode_rejects_allocator_state_the_page_allocator_trusts() {
+        use hetero_sim::snap::{Snap, SnapWriter};
+        let (k, bytes) = ballooned_kernel_bytes();
+        assert_eq!(
+            encoded(&decode(&bytes).expect("the unmutated bytes restore")),
+            bytes
+        );
+        let mut w = SnapWriter::new();
+        k.config.snap(&mut w);
+        k.mm.snap(&mut w);
+        // The FastMem buddy (64 frames, so one bitmap word per order)
+        // follows its presence byte: base, frames, the order count, then
+        // per order the word count, the word, `len` and `hint`, and last
+        // `free_frames`.
+        let fast = w.len() + 1;
+        let order = |o: usize| fast + 24 + 32 * o;
+        let fast_len = encoded_len(&k.buddies[MemKind::Fast]) - 1;
+        assert_eq!(fast_len, 24 + 32 * 11 + 8);
+        let slow = fast + fast_len + 2; // past Medium's absent byte
+        let pcp = slow - 1 + encoded_len(&k.buddies[MemKind::Slow]);
+        let cpus_at = encoded_len(&k.config.frames);
+        let next_cpu_at = bytes.len() - 16;
+        let ballooned_at = next_cpu_at - encoded_len(&k.pt_backing) - encoded_len(&k.ballooned);
+        // The per-CPU lists, then the batch and high marks and the two
+        // counters.
+        let lists_len = encoded_len(&k.pcp) - 4 * 8;
+        // The SlowMem buddy's lowest order holding a free block, for the
+        // hint mutant: its word count, words, `len`, then `hint`.
+        let mut slow_order = slow + 24;
+        let held = loop {
+            let words = read_u64(&bytes, slow_order) as usize;
+            let len_at = slow_order + 8 + 8 * words;
+            if read_u64(&bytes, len_at) > 0 {
+                let first = (0..words)
+                    .find(|&i| read_u64(&bytes, slow_order + 8 + 8 * i) != 0)
+                    .unwrap();
+                break (len_at + 8, first);
+            }
+            slow_order = len_at + 16;
+        };
+        assert_eq!(read_u64(&bytes, pcp), 2, "two per-CPU lists");
+        assert!(read_u64(&bytes, pcp + 8) > 0, "CPU 0 caches FastMem pages");
+        assert_eq!(
+            read_u64(&bytes, ballooned_at),
+            5,
+            "five FastMem pages ballooned"
+        );
+        let set = |at: usize, v: u64| splice(&bytes, at, 8, &v.to_le_bytes());
+        let medium = {
+            let mut w = SnapWriter::new();
+            Some(BuddyAllocator::new(320, 8)).snap(&mut w);
+            w.into_bytes()
+        };
+        let mutants = [
+            (
+                splice(&set(fast + 16, 10), order(10), 32, &[]),
+                "buddy allocator has 10 orders, not 11".to_string(),
+            ),
+            (
+                splice(&set(order(3), 2), order(3) + 16, 0, &[0; 8]),
+                "order 3 bitmap has 2 words, but 64 frames need 1".to_string(),
+            ),
+            (
+                set(order(6) + 8, read_u64(&bytes, order(6) + 8) | 2),
+                "order 6 bitmap frees a block past the allocator's 64 frames".to_string(),
+            ),
+            (
+                set(order(0) + 16, read_u64(&bytes, order(0) + 16) + 1),
+                "order 0 counts".to_string(),
+            ),
+            (
+                set(
+                    fast + fast_len - 8,
+                    read_u64(&bytes, fast + fast_len - 8) + 1,
+                ),
+                "free frames, but its blocks hold".to_string(),
+            ),
+            (
+                set(held.0, held.1 as u64 + 1),
+                format!(
+                    "scan hint {} is past its first free word {}",
+                    held.1 + 1,
+                    held.1
+                ),
+            ),
+            (
+                set(slow, read_u64(&bytes, slow) + 1),
+                "the SlowMem buddy allocator does not cover the tier's frames 64..320".to_string(),
+            ),
+            (
+                splice(&bytes, slow - 2, 1, &medium),
+                "the MediumMem buddy allocator does not cover the tier's frames 0..0".to_string(),
+            ),
+            (
+                set(cpus_at, 3),
+                "2 per-CPU lists for 3 configured CPUs".to_string(),
+            ),
+            // The count matches, but the round-robin cursor would divide
+            // by zero.
+            (
+                splice(&set(cpus_at, 0), pcp, lists_len, &0u64.to_le_bytes()),
+                "0 per-CPU lists for 0 configured CPUs".to_string(),
+            ),
+            (set(next_cpu_at, 2), "next CPU 2 of 2".to_string()),
+            (
+                set(pcp + 16, 64),
+                "CPU 0's FastMem list holds gfn:0x40, outside the tier's frames 0..64".to_string(),
+            ),
+            (
+                set(ballooned_at + 8, 300),
+                "ballooned FastMem page gfn:0x12c is outside the tier's frames 0..64".to_string(),
+            ),
+        ];
+        for (mutant, want) in mutants {
+            match decode(&mutant) {
+                Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(&want), "{want}: {msg}"),
+                other => panic!("{want}: {:?}", other.map(|_| ())),
+            }
         }
     }
 
@@ -2044,6 +2274,150 @@ mod tests {
         assert_eq!(k.free_frames(MemKind::Fast), free - 6);
         // Deflating more than ballooned caps out.
         assert_eq!(k.balloon_deflate(MemKind::Fast, 100), 6);
+    }
+
+    /// Page-at-a-time balloon inflation, as the kernel ran it before the
+    /// bulk path: one allocation per page (list, refill, drain, refill),
+    /// its descriptor written as it comes.
+    fn inflate_per_page(k: &mut GuestKernel, kind: MemKind, n: u64) -> u64 {
+        let mut got = 0;
+        while got < n {
+            let cpu = k.next_cpu();
+            let Some(buddy) = k.buddies[kind].as_mut() else {
+                break;
+            };
+            let Some(gfn) = k.pcp.alloc_draining_per_page(cpu, kind, buddy) else {
+                break;
+            };
+            k.mm.set_allocated(gfn, PageType::Dma, 0);
+            k.mm.page_mut(gfn).flags.insert(PageFlags::BALLOONED);
+            k.ballooned[kind].push(gfn);
+            got += 1;
+        }
+        got
+    }
+
+    /// Page-at-a-time balloon deflation: one free per page, the most
+    /// recently ballooned first.
+    fn deflate_per_page(k: &mut GuestKernel, kind: MemKind, n: u64) -> u64 {
+        let mut freed = 0;
+        while freed < n {
+            let Some(gfn) = k.ballooned[kind].pop() else {
+                break;
+            };
+            k.mm.page_mut(gfn).flags.remove(PageFlags::BALLOONED);
+            k.mm.set_free(gfn);
+            let cpu = k.next_cpu();
+            let buddy = k.buddies[kind].as_mut().expect("configured tier");
+            k.pcp.free_per_page(cpu, kind, gfn, buddy);
+            freed += 1;
+        }
+        freed
+    }
+
+    /// A Fast/Slow kernel (no Medium) with `cpus` CPUs in one of four
+    /// allocator states: `"pristine"` (just booted), `"fragmented"` (heap
+    /// pages allocated on both tiers and a random half freed, leaving
+    /// holes in the buddies and pages on per-CPU lists), `"leftover"` (a
+    /// few pages taken per CPU, so every list holds part of a refill) and
+    /// `"exhausted"` (both tiers allocated until they fail, then a few
+    /// pages freed onto the lists).
+    fn balloon_kernel(cpus: usize, state: &str, seed: u64) -> GuestKernel {
+        let mut rng = hetero_sim::SimRng::seed_from(seed);
+        let mut k = GuestKernel::new(GuestConfig {
+            frames: vec![(MemKind::Fast, 700), (MemKind::Slow, 1500)],
+            cpus,
+            page_size: 4096,
+        });
+        let chains: [&[MemKind]; 2] = [&[MemKind::Fast, MemKind::Slow], &[MemKind::Slow]];
+        let mut held = Vec::new();
+        let allocs = match state {
+            "pristine" => 0,
+            "fragmented" => 1800,
+            "leftover" => 3 * cpus as u64 + 1,
+            "exhausted" => u64::MAX,
+            _ => panic!("unknown state {state}"),
+        };
+        for i in 0..allocs {
+            match k.alloc_page(PageType::HeapAnon, 9, chains[i as usize % 2]) {
+                Ok((gfn, _)) => held.push(gfn),
+                Err(_) => break,
+            }
+        }
+        let frees = match state {
+            "fragmented" => held.len() / 2,
+            "exhausted" => 5 * cpus,
+            _ => 0,
+        };
+        for _ in 0..frees {
+            let gfn = held.swap_remove(rng.next_range(0, held.len() as u64) as usize);
+            k.free_page(gfn);
+        }
+        k
+    }
+
+    #[test]
+    fn bulk_balloon_leaves_the_bytes_of_page_at_a_time_balloons() {
+        let kinds = [MemKind::Fast, MemKind::Slow, MemKind::Medium];
+        for cpus in [1, 2, 3, 16] {
+            for state in ["pristine", "fragmented", "leftover", "exhausted"] {
+                let seed = cpus as u64 * 31 + state.len() as u64;
+                let base = balloon_kernel(cpus, state, seed);
+                for kind in kinds {
+                    let free = base.free_frames(kind);
+                    let total = base.total_frames(kind);
+                    let ns = [
+                        0,
+                        1,
+                        2,
+                        31,
+                        33,
+                        97,
+                        free.saturating_sub(1),
+                        free,
+                        free + 1,
+                        total + 5,
+                    ];
+                    for n in ns {
+                        let mut bulk = balloon_kernel(cpus, state, seed);
+                        let mut single = balloon_kernel(cpus, state, seed);
+                        // Inflate, give part back, inflate to exhaustion
+                        // (which empties every per-CPU list), give back
+                        // exactly the high watermark's worth per CPU (a
+                        // spill one page early or late shows), then give
+                        // everything back.
+                        let steps = [
+                            ("inflate", n),
+                            ("deflate", n / 3 + 1),
+                            ("inflate", total + 1),
+                            ("deflate", (crate::pcp::DEFAULT_HIGH * cpus) as u64),
+                            ("deflate", total + 1),
+                        ];
+                        for (i, (op, count)) in steps.into_iter().enumerate() {
+                            let (got, want) = if op == "inflate" {
+                                (
+                                    bulk.balloon_inflate(kind, count),
+                                    inflate_per_page(&mut single, kind, count),
+                                )
+                            } else {
+                                (
+                                    bulk.balloon_deflate(kind, count),
+                                    deflate_per_page(&mut single, kind, count),
+                                )
+                            };
+                            let at = format!(
+                                "{cpus} cpus, {state}, {kind}, n {n}, step {i} ({op} {count})"
+                            );
+                            assert_eq!(got, want, "{at}");
+                            assert!(
+                                encoded(&bulk) == encoded(&single),
+                                "{at}: the encodings differ"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
