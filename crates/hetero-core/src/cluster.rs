@@ -5,7 +5,7 @@
 //! up to the datacenter layer; this module is that layer. A [`Cluster`]
 //! owns many hosts, each a complete single-machine fleet — its own
 //! FastMem/SlowMem (and optionally Medium) pools and its own fair-share
-//! ledger ([`crate::multivm::FleetCore`]). Sharding the ledger per host is
+//! ledger (`multivm::FleetCore`). Sharding the ledger per host is
 //! what unlocks parallel stepping: within a scheduling round the hosts
 //! share nothing, so they fan out across the deterministic [`Runner`]
 //! (fixed pool, descriptor-order merge) and a 1,000-VM fleet steps
@@ -23,7 +23,7 @@
 //! copy the dirty set while the VM keeps running, the dirty set shrinking
 //! by the workload's write intensity each round, then a final
 //! stop-and-copy moves the remainder. Every round is priced through the
-//! existing [`CostModel`] migration prices (Table 6 anchors) and charged
+//! existing [`CostModel`](hetero_mem::CostModel) migration prices (Table 6 anchors) and charged
 //! to the migrating VM's clock; the ledger transfer debits the source
 //! host and credits the destination exactly, which the extended sanitizer
 //! ([`hetero_faults::audit_cluster`]) re-proves every round.

@@ -1932,16 +1932,21 @@ impl<W: Workload> SingleVmSim<W> {
         self.span_close(lru_span);
     }
 
+    /// How much of the app's inter-scan activity one scan `interval`
+    /// covers: the touch oracle's scale, computed once per scan.
+    fn touch_intensity(interval: Nanos) -> f64 {
+        interval.as_millis_f64() / 25.0
+    }
+
     /// Touch oracle shared by every tracking source: a page reads as
-    /// accessed with probability proportional to its heat, scaled by how
-    /// much of the app's inter-scan activity the interval covers.
-    fn touch_probability(interval: Nanos, page: &Page) -> f64 {
+    /// accessed with probability proportional to its heat, scaled by the
+    /// scan interval's [`Self::touch_intensity`].
+    fn touch_probability(intensity: f64, page: &Page) -> f64 {
         // Saturating: a genuinely warm page (heat ≥ 64) is all but certain
         // to be touched within a 100 ms interval, so it never reads as a
         // demotion candidate; only the cold tail looks idle. Cold pages
         // still trip the bit occasionally (false hots), which is the
         // realistic noise budget-wasting blind trackers pay for.
-        let intensity = interval.as_millis_f64() / 25.0;
         (page.heat as f64 / 255.0 * intensity).min(1.0)
     }
 
@@ -2036,14 +2041,11 @@ impl<W: Workload> SingleVmSim<W> {
             return self.harvest_candidates(period, batch);
         }
         let mut rng = self.rng.fork();
-        let mut oracle = move |p: &Page| rng.chance(Self::touch_probability(period, p));
+        let intensity = Self::touch_intensity(period);
+        let mut oracle = move |p: &Page| rng.chance(Self::touch_probability(intensity, p));
         if tracking == Tracking::Guided && self.cfg.guided_tracking {
             // The guest guides *what* to track: heap VMA ranges; short-lived
             // I/O pages and pinned types go on the exception list.
-            let ranges = self
-                .kernel
-                .address_space()
-                .ranges_of(hetero_guest::vma::VmaKind::Anon);
             let exceptions = [
                 PageType::PageCache,
                 PageType::BufferCache,
@@ -2053,7 +2055,7 @@ impl<W: Workload> SingleVmSim<W> {
             ];
             self.tracker.scan_tracked_into(
                 &self.kernel,
-                &ranges,
+                self.kernel.address_space(),
                 &exceptions,
                 &mut oracle,
                 batch,
@@ -2080,49 +2082,37 @@ impl<W: Workload> SingleVmSim<W> {
     /// [`CostModel::scan_per_page`]: hetero_mem::CostModel
     fn harvest_candidates(&mut self, period: Nanos, batch: u64) -> bool {
         // Sweep window: up to `batch` heap VPNs starting at the resume
-        // cursor, wrapping across the anon ranges (BTreeMap order, so the
+        // cursor, wrapping across the anon ranges (address order, so the
         // walk is deterministic at any `--jobs`).
-        let mut ranges = self
-            .kernel
-            .address_space()
-            .ranges_of(hetero_guest::vma::VmaKind::Anon);
-        ranges.retain(|&(s, e)| e > s);
-        if ranges.is_empty() {
-            return false;
-        }
-        let total_vpns: u64 = ranges.iter().map(|&(s, e)| e - s).sum();
-        let mut remaining = batch.min(total_vpns);
-        let mut idx = ranges
-            .iter()
-            .position(|&(s, e)| self.ab_cursor >= s && self.ab_cursor < e)
-            .or_else(|| ranges.iter().position(|&(s, _)| s > self.ab_cursor))
-            .unwrap_or(0);
-        let mut cur = if self.ab_cursor >= ranges[idx].0 && self.ab_cursor < ranges[idx].1 {
-            self.ab_cursor
-        } else {
-            ranges[idx].0
-        };
         let mut window: Vec<(u64, u64)> = Vec::new();
-        while remaining > 0 {
-            let (_, e) = ranges[idx];
-            let take = (e - cur).min(remaining);
-            window.push((cur, cur + take));
-            remaining -= take;
-            cur += take;
-            if cur >= e {
-                idx = (idx + 1) % ranges.len();
-                cur = ranges[idx].0;
+        {
+            let space = self.kernel.address_space();
+            let Some((mut cur, resumed)) = space.anon_ranges_from(self.ab_cursor) else {
+                return false;
+            };
+            let mut ranges = resumed.chain(space.anon_ranges().cycle());
+            let (_, mut end) = ranges.next().expect("the resumed range");
+            let mut remaining = batch.min(space.anon_pages());
+            while remaining > 0 {
+                let take = (end - cur).min(remaining);
+                window.push((cur, cur + take));
+                remaining -= take;
+                cur += take;
+                if cur >= end {
+                    (cur, end) = ranges.next().expect("the ranges cycle");
+                }
             }
+            self.ab_cursor = cur;
         }
-        self.ab_cursor = cur;
         // One bounded page-table walk per window segment. Inter-scan guest
         // activity first: the touch oracle drives real PTE bits, and a
         // touched page dirties in proportion to its write heat, so the
         // dirty-bit channel sees the same store skew §4.3 describes. Then
         // the same walk harvests and resets the bits.
         let mut rng = self.rng.fork();
+        let intensity = Self::touch_intensity(period);
         let mut touch = |page: &Page| {
-            let p_touch = Self::touch_probability(period, page);
+            let p_touch = Self::touch_probability(intensity, page);
             let w_ratio = (page.write_heat as f64 / (page.heat as f64).max(1.0)).min(1.0);
             rng.chance(p_touch).then(|| rng.chance(w_ratio))
         };

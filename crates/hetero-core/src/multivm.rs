@@ -9,7 +9,7 @@
 //! max-min in §5.5.
 //!
 //! The per-host mechanics — ledger, VM slots, growth/release, the event
-//! heap — live in [`FleetCore`], shared between this single-host engine and
+//! heap — live in `FleetCore`, shared between this single-host engine and
 //! the rack-scale [`crate::cluster::Cluster`], whose hosts each own one
 //! `FleetCore` and step it independently.
 
@@ -593,7 +593,7 @@ impl MultiVmSim {
 
     /// Pages finished guests could not balloon back (pinned residue of
     /// short yields) — still granted, still owned by their kernels, but
-    /// unavailable to survivors. See [`FleetCore::release_surplus`].
+    /// unavailable to survivors (see `FleetCore::release_surplus`).
     pub fn stranded_pages(&self) -> u64 {
         self.core.stranded
     }

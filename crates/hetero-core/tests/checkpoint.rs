@@ -860,6 +860,74 @@ fn bulk_dispatch_matches_recorded_digests() {
     assert!(logged("soak"), "no soak cell injected a single fault");
 }
 
+/// Per app-hint cell (policy, tracking source, seed): FNV-1a digests of
+/// the `RunReport`'s `Debug` string, the event log and the snapshot at
+/// half run. Each cell runs graphchi at 1/10 length with tracing on and
+/// `app_hints` set, so every epoch maps its hot and its cold heap as two
+/// regions (§3.1's extended `mmap` flag): the one path that maps twice per
+/// epoch, interleaving first-fit placements with the churn's partial
+/// unmaps. The snapshot holds every VMA, PTE and scan cursor, so a moved
+/// placement moves it.
+type HintDigest = (Policy, Option<Tracking>, u64, [u64; 3]);
+#[rustfmt::skip]
+const HINT_DIGESTS: [HintDigest; 4] = [
+    (Policy::HeteroCoordinated, None, 7, [0x5e37_5639_fccf_60e5, 0xeec6_6f7a_fdfe_2652, 0xdda9_243e_3a5d_14b7]),
+    (Policy::HeteroCoordinated, None, 42, [0x9e6b_0116_4b7b_ea9f, 0x23af_734f_297a_196b, 0xe50d_7594_fc65_d517]),
+    (Policy::HeteroCoordinated, Some(Tracking::AccessBit), 7, [0xa408_3b40_17a2_2d0a, 0xcc50_36dc_1308_4685, 0xda2a_e10a_b6ca_3249]),
+    (Policy::HeteroLru, None, 7, [0x71ab_a151_9ade_4715, 0x797e_07c6_7335_3a8d, 0x7d39_5c0b_a5a0_45fa]),
+];
+
+#[test]
+fn app_hint_placement_matches_recorded_digests() {
+    let results = Runner::new(0).run(HINT_DIGESTS.to_vec(), |(policy, tracking, seed, _)| {
+        let cfg = SimConfig {
+            app_hints: true,
+            trace_events: 100_000,
+            ..SimConfig::paper_default()
+                .with_capacity_ratio(1, 4)
+                .with_seed(seed)
+                .with_tracking(tracking)
+        };
+        let mut spec = apps::graphchi();
+        spec.total_instructions /= 10;
+        let half = spec.epochs() / 2;
+        let workload = AppWorkload::new(spec, cfg.page_size, cfg.scale);
+        let mut sim = SingleVmSim::new(cfg, policy, workload);
+        let (mut steps, mut snap) = (0, Vec::new());
+        while sim.step() {
+            steps += 1;
+            if steps == half {
+                snap = sim.save();
+            }
+        }
+        let cell = format!("{policy:?}/{tracking:?}/{seed}");
+        assert!(!snap.is_empty(), "{cell}: run ended before half way");
+        let events = sim.events().expect("tracing is on");
+        assert_eq!(events.dropped(), 0, "{cell}: event log wrapped");
+        let log: String = events.iter().map(|e| format!("{e}\n")).collect();
+        [
+            fnv1a(format!("{:?}", sim.report()).as_bytes()),
+            fnv1a(log.as_bytes()),
+            fnv1a(&snap),
+        ]
+    });
+    let moved: Vec<String> = HINT_DIGESTS
+        .iter()
+        .zip(&results)
+        .filter(|((.., want), got)| *got != want)
+        .map(|((policy, tracking, seed, _), got)| {
+            format!(
+                "    (Policy::{policy:?}, {tracking:?}, {seed}, [{}, {}, {}]),",
+                hex(got[0]),
+                hex(got[1]),
+                hex(got[2])
+            )
+        })
+        .collect();
+    let moved = moved.join("\n");
+    assert!(moved.is_empty(), "app-hint digests moved:\n{moved}");
+}
+
 /// FNV-1a of `SimConfig::paper_default()`'s encoding, which opens every
 /// snapshot. Recorded while `SimConfig` still had the two retired flags
 /// whose one-byte slots the encoding keeps.

@@ -411,7 +411,6 @@ impl GuestKernel {
     ///
     /// Panics if the page is not allocated.
     pub fn free_page(&mut self, gfn: Gfn) {
-        self.lru.remove(&mut self.mm, gfn);
         match self.mm.rmap(gfn) {
             RMap::Anon(vpn) => {
                 self.pt.unmap(vpn);
@@ -421,6 +420,13 @@ impl GuestKernel {
             }
             RMap::None => {}
         }
+        self.release_frame(gfn);
+    }
+
+    /// [`GuestKernel::free_page`] once the reverse mapping is gone: off
+    /// the LRU, descriptor freed, frame back to the allocator.
+    fn release_frame(&mut self, gfn: Gfn) {
+        self.lru.remove(&mut self.mm, gfn);
         self.mm.set_free(gfn);
         self.raw_free(gfn);
     }
@@ -529,15 +535,23 @@ impl GuestKernel {
 
     /// Unmaps `[vpn, vpn + pages)`: pages in the range are marked for
     /// reclaim and freed. Returns the number of pages released.
+    ///
+    /// One bounded page-table walk removes the range's PTEs
+    /// ([`PageTable::unmap_range`]); their frames are then freed in VPN
+    /// order, as one [`GuestKernel::free_page`] per mapped VPN would.
     pub fn munmap(&mut self, vpn: u64, pages: u64) -> u64 {
         let removed = self.space.munmap(vpn, pages);
-        let mut freed = 0;
-        for v in vpn..vpn + pages {
-            if let Some(gfn) = self.pt.translate(v) {
-                self.mm.page_mut(gfn).flags.insert(PageFlags::RECLAIM);
-                self.free_page(gfn);
-                freed += 1;
-            }
+        let mut gfns = Vec::with_capacity(removed.min(self.pt.mapped_pages()) as usize);
+        let mm = &self.mm;
+        self.pt
+            .unmap_range(vpn, vpn.saturating_add(pages), |v, pte| {
+                debug_assert_eq!(mm.rmap(pte.gfn), RMap::Anon(v), "{} maps {v:#x}", pte.gfn);
+                gfns.push(pte.gfn);
+            });
+        let mut freed = gfns.len() as u64;
+        for gfn in gfns {
+            self.mm.page_mut(gfn).flags.insert(PageFlags::RECLAIM);
+            self.release_frame(gfn);
         }
         // Swapped-out pages in the range die with the mapping — their swap
         // slots are discarded without I/O.
@@ -1756,6 +1770,66 @@ mod tests {
         for (mutant, want) in mutants {
             match decode(&mutant) {
                 Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(&want), "{want}: {msg}"),
+                other => panic!("{want}: {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    /// One mutant of the encoded kernel per address-space check made at
+    /// decode, each with the message it must be rejected with.
+    #[test]
+    fn decode_rejects_address_spaces_mmap_would_trip_on() {
+        let mut k = small_kernel();
+        for pages in [8, 3, 4] {
+            k.mmap_heap(pages, std::iter::repeat(9), &[MemKind::Slow])
+                .unwrap();
+        }
+        k.munmap(8, 3); // a hole between the first VMA and the last
+        let bytes = encoded(&k);
+        assert_eq!(
+            encoded(&decode(&bytes).expect("the unmutated bytes restore")),
+            bytes
+        );
+        // The VMA map's length, then per VMA its key, start, pages, kind
+        // tag and absent hint; then the limit.
+        let space = encoded_len(&k.config)
+            + encoded_len(&k.mm)
+            + encoded_len(&k.buddies)
+            + encoded_len(&k.pcp)
+            + encoded_len(&k.lru);
+        assert_eq!(read_u64(&bytes, space), 2, "two VMAs");
+        let vma = |i: usize| space + 8 + 26 * i;
+        let limit_at = vma(2);
+        let starts = (read_u64(&bytes, vma(0) + 8), read_u64(&bytes, vma(1) + 8));
+        assert_eq!(starts, (0, 11));
+        assert_eq!(read_u64(&bytes, limit_at), crate::pagetable::VPN_LIMIT);
+        let set = |at: usize, v: u64| splice(&bytes, at, 8, &v.to_le_bytes());
+        let limit = crate::pagetable::VPN_LIMIT;
+        // The last VMA may end right at the limit.
+        decode(&set(limit_at, 15)).expect("a VMA ending at the limit restores");
+        let mutants = [
+            (set(vma(1), 12), "VMA keyed 0xc starts at 0xb"),
+            (set(vma(0) + 16, 0), "VMA at 0x0 has no pages"),
+            (
+                set(vma(1) + 16, u64::MAX),
+                "VMA at 0xb of 18446744073709551615 pages ends past",
+            ),
+            (
+                set(limit_at, 14),
+                "VMA at 0xb of 4 pages ends past the limit 0xe",
+            ),
+            (
+                set(vma(0) + 16, 12),
+                "VMA at 0xb overlaps the one ending at 0xc",
+            ),
+            (
+                set(limit_at, limit + 1),
+                "address space limit 0x1000000001 is past VPN_LIMIT 0x1000000000",
+            ),
+        ];
+        for (mutant, want) in mutants {
+            match decode(&mutant) {
+                Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(want), "{want}: {msg}"),
                 other => panic!("{want}: {:?}", other.map(|_| ())),
             }
         }

@@ -535,7 +535,7 @@ fn decode_frame(r: &mut SnapReader<'_>, frames: u64) -> Result<(Page, RMap), Sna
 }
 
 /// The `SNAP_VERSION` 2 layout: the frame count, each frame's descriptor
-/// and reverse map ([`encode_frame`]), then the tier layout, residency and
+/// and reverse map (`encode_frame`), then the tier layout, residency and
 /// ledger. Both directions make one pass over the descriptor and reverse
 /// map arrays.
 impl Snap for MemMap {

@@ -380,6 +380,119 @@ impl PageTable {
         visit(&mut self.root, LEVELS - 1, 0, start, end - 1, &mut f)
     }
 
+    /// Visits the mapped PTEs in `[start, end)` in ascending VPN order, as
+    /// `PageTable::visit_mapped` does but read-only, calling `f(vpn, pte)`
+    /// until it returns `false`. Returns the VPN of the PTE it stopped at,
+    /// or `None` once it has visited the whole range. One bounded walk:
+    /// the descent is shared by every PTE of a table, and empty subtrees
+    /// are skipped.
+    pub fn visit_mapped_while(
+        &self,
+        start: u64,
+        end: u64,
+        mut f: impl FnMut(u64, &Pte) -> bool,
+    ) -> Option<u64> {
+        fn visit(
+            table: &Table,
+            level: u32,
+            base: u64,
+            first: u64,
+            last: u64,
+            f: &mut impl FnMut(u64, &Pte) -> bool,
+        ) -> Option<u64> {
+            let shift = LEVEL_BITS * level;
+            let span = (FANOUT as u64) << shift;
+            let lo = PageTable::index(first.max(base), level);
+            let hi = PageTable::index(last.min(base + span - 1), level);
+            for (i, entry) in (lo..=hi).zip(&table.entries[lo..=hi]) {
+                let vpn = base + ((i as u64) << shift);
+                match entry {
+                    Entry::Empty => {}
+                    Entry::Table(child) => {
+                        if let Some(stop) = visit(child, level - 1, vpn, first, last, f) {
+                            return Some(stop);
+                        }
+                    }
+                    Entry::Leaf(pte) => {
+                        if !f(vpn, pte) {
+                            return Some(vpn);
+                        }
+                    }
+                }
+            }
+            None
+        }
+        let end = end.min(VPN_LIMIT);
+        if start >= end {
+            return None;
+        }
+        visit(&self.root, LEVELS - 1, 0, start, end - 1, &mut f)
+    }
+
+    /// Removes every mapping in `[start, end)` in one bounded walk, calling
+    /// `f(vpn, pte)` for each removed PTE in ascending VPN order, and frees
+    /// each table the removals leave empty. Returns how many it removed.
+    /// Which tables exist depends only on the set of mapped VPNs, so the
+    /// tree ends exactly as one [`PageTable::unmap`] per VPN leaves it. An
+    /// empty or reversed range removes nothing; the range is clipped at
+    /// [`VPN_LIMIT`].
+    pub fn unmap_range(&mut self, start: u64, end: u64, mut f: impl FnMut(u64, Pte)) -> u64 {
+        fn visit(
+            table: &mut Table,
+            level: u32,
+            base: u64,
+            first: u64,
+            last: u64,
+            freed: &mut u64,
+            f: &mut impl FnMut(u64, Pte),
+        ) -> u64 {
+            let shift = LEVEL_BITS * level;
+            let span = (FANOUT as u64) << shift;
+            let lo = PageTable::index(first.max(base), level);
+            let hi = PageTable::index(last.min(base + span - 1), level);
+            let mut removed = 0;
+            for (i, entry) in (lo..=hi).zip(&mut table.entries[lo..=hi]) {
+                let vpn = base + ((i as u64) << shift);
+                match entry {
+                    Entry::Empty => continue,
+                    Entry::Table(child) => {
+                        let below = visit(child, level - 1, vpn, first, last, freed, f);
+                        removed += below;
+                        // As in `unmap`, only a removal frees a table.
+                        if below == 0 || child.used > 0 {
+                            continue;
+                        }
+                        *freed += 1;
+                    }
+                    Entry::Leaf(pte) => {
+                        f(vpn, *pte);
+                        removed += 1;
+                    }
+                }
+                *entry = Entry::Empty;
+                table.used -= 1;
+            }
+            removed
+        }
+        let end = end.min(VPN_LIMIT);
+        if start >= end {
+            return 0;
+        }
+        let mut freed = 0;
+        let removed = visit(
+            &mut self.root,
+            LEVELS - 1,
+            0,
+            start,
+            end - 1,
+            &mut freed,
+            &mut f,
+        );
+        self.mapped -= removed;
+        self.table_pages -= freed;
+        removed
+    }
+
     /// Scans `[start, end)`, invoking `f(vpn, accessed, dirty)` for each
     /// mapped page in ascending VPN order and **clearing both the access
     /// and dirty bits** (the harvest-and-reset cycle of software A/D
@@ -744,16 +857,11 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn bounded_scan_matches_brute_force_walk() {
-        let mut pt = PageTable::new();
-        let vpns = boundary_vpns();
-        for &vpn in &vpns {
-            pt.map(vpn, Gfn(vpn));
-        }
+    /// Range shapes over [`boundary_vpns`]: (start, end, mapped VPNs
+    /// inside).
+    fn boundary_ranges() -> [(u64, u64, usize); 13] {
         let edge = |bits: u32| 1u64 << bits;
-        // (start, end, mapped VPNs inside)
-        let ranges = [
+        [
             (edge(9), edge(9), 0),                 // empty
             (edge(18) + 2, edge(18) - 2, 0),       // reversed
             (edge(9) - 1, edge(9), 1),             // last slot of a leaf table
@@ -767,8 +875,17 @@ mod tests {
             (VPN_LIMIT, VPN_LIMIT + 10, 0),          // starts at it
             (VPN_LIMIT + 5, VPN_LIMIT + 50, 0),      // starts past it
             (u64::MAX - 1, u64::MAX, 0),
-        ];
-        for (start, end, inside) in ranges {
+        ]
+    }
+
+    #[test]
+    fn bounded_scan_matches_brute_force_walk() {
+        let mut pt = PageTable::new();
+        let vpns = boundary_vpns();
+        for &vpn in &vpns {
+            pt.map(vpn, Gfn(vpn));
+        }
+        for (start, end, inside) in boundary_ranges() {
             // Fresh, varied bits on every mapped page before each scan.
             for (i, &vpn) in vpns.iter().enumerate() {
                 if i % 3 != 2 {
@@ -791,6 +908,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`boundary_vpns`] mapped, with varied bits.
+    fn boundary_table() -> PageTable {
+        let mut pt = PageTable::new();
+        for (i, &vpn) in boundary_vpns().iter().enumerate() {
+            pt.map(vpn, Gfn(vpn ^ 0x77));
+            if i % 3 != 2 {
+                pt.touch(vpn, i % 2 == 0);
+            }
+        }
+        pt
+    }
+
+    #[test]
+    fn read_only_walk_stops_where_told() {
+        let pt = boundary_table();
+        for (start, end, inside) in boundary_ranges() {
+            let want: Vec<(u64, Pte)> = (start..end.min(VPN_LIMIT))
+                .filter_map(|vpn| pt.walk(vpn).map(|p| (vpn, *p)))
+                .collect();
+            assert_eq!(want.len(), inside, "[{start:#x}, {end:#x}): fixture");
+            for stop_after in 0..=inside {
+                let mut got = Vec::new();
+                let stopped = pt.visit_mapped_while(start, end, |vpn, pte| {
+                    got.push((vpn, *pte));
+                    got.len() <= stop_after
+                });
+                let at = format!("[{start:#x}, {end:#x}) stop {stop_after}");
+                assert_eq!(got, want[..(stop_after + 1).min(inside)], "{at}");
+                let stop = (stop_after < inside).then(|| want[stop_after].0);
+                assert_eq!(stopped, stop, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn unmap_range_leaves_the_tree_of_per_vpn_unmaps() {
+        for (start, end, inside) in boundary_ranges() {
+            let at = format!("[{start:#x}, {end:#x})");
+            let mut bulk = boundary_table();
+            let mut single = bulk.clone();
+            let mut got = Vec::new();
+            let removed = bulk.unmap_range(start, end, |vpn, pte| got.push((vpn, pte)));
+            let want: Vec<(u64, Pte)> = (start..end.min(VPN_LIMIT))
+                .filter_map(|vpn| single.unmap(vpn).map(|pte| (vpn, pte)))
+                .collect();
+            assert_eq!(want.len(), inside, "{at}: fixture");
+            assert_eq!(got, want, "{at}: visit order");
+            assert_eq!(removed, inside as u64, "{at}: count");
+            assert_eq!(
+                (bulk.mapped_pages(), bulk.table_pages()),
+                (single.mapped_pages(), single.table_pages()),
+                "{at}: counts"
+            );
+            assert!(encode(&bulk) == encode(&single), "{at}: the trees differ");
+        }
+        // Everything, twice: the second pass finds nothing, and only the
+        // root is left.
+        let mut pt = boundary_table();
+        let all = boundary_vpns().len() as u64;
+        assert_eq!(pt.unmap_range(0, VPN_LIMIT, |_, _| {}), all);
+        assert_eq!(pt.unmap_range(0, VPN_LIMIT, |_, _| {}), 0);
+        assert_eq!((pt.mapped_pages(), pt.table_pages()), (0, 1));
+        assert!(encode(&pt) == encode(&PageTable::new()));
     }
 
     fn encode(pt: &PageTable) -> Vec<u8> {

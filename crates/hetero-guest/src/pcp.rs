@@ -130,10 +130,14 @@ impl PerCpuLists {
     /// once more. Returns `None` when neither the buddy nor any list of
     /// the tier holds a page.
     ///
-    /// A tier with no page anywhere is answered at once. The refill, drain
-    /// and refill it skips would find every order's free list empty
-    /// (returning before a scan hint moves) and drain nothing, so only
-    /// their two refill counts are added.
+    /// A dry buddy is answered in one computed step when it can be. With
+    /// no page anywhere in the tier, the refill, drain and refill would
+    /// find every order's free list empty (returning before a scan hint
+    /// moves) and drain nothing, so only their two refill counts are
+    /// added. With `cpu`'s list empty and at most `batch` pages stranded
+    /// on the others, the second refill takes back every page the drain
+    /// frees: one [`BuddyAllocator::free_and_retake`] of the sorted pages
+    /// lays that refill on `cpu`'s list, and the same two refills count.
     ///
     /// # Panics
     ///
@@ -144,9 +148,19 @@ impl PerCpuLists {
         kind: MemKind,
         buddy: &mut BuddyAllocator,
     ) -> Option<Gfn> {
-        if buddy.free_frames() == 0 && self.cached_total(kind) == 0 {
-            self.refills += 2;
-            return None;
+        if buddy.free_frames() == 0 {
+            let stranded = self.cached_total(kind);
+            if stranded == 0 {
+                self.refills += 2;
+                return None;
+            }
+            if stranded <= self.batch && self.lists[cpu][kind].is_empty() {
+                let pages = self.take_stranded(kind, stranded);
+                self.refills += 2;
+                let list = &mut self.lists[cpu][kind];
+                buddy.free_and_retake(&pages, list);
+                return list.pop();
+            }
         }
         if let Some(g) = self.alloc(cpu, kind, buddy) {
             return Some(g);
@@ -243,11 +257,7 @@ impl PerCpuLists {
         {
             return (0, cpu);
         }
-        let mut pages = Vec::with_capacity(stranded);
-        for lists in &mut self.lists {
-            pages.append(&mut lists[kind]);
-        }
-        pages.sort_unstable();
+        let mut pages = self.take_stranded(kind, stranded);
         let (mut seq, mut popped) = (Vec::with_capacity(stranded), Vec::with_capacity(cpus));
         let (mut taken, mut start) = (0, cpu);
         while !pages.is_empty() && fits(pages.len(), left - taken) {
@@ -272,6 +282,17 @@ impl PerCpuLists {
             self.lists[(start + j) % cpus][kind].extend_from_slice(&refill[..refill.len() - 1]);
         }
         (taken, cpu)
+    }
+
+    /// Empties every list of a tier, holding `stranded` pages in all, and
+    /// returns the pages in ascending order.
+    fn take_stranded(&mut self, kind: MemKind, stranded: usize) -> Vec<Gfn> {
+        let mut pages = Vec::with_capacity(stranded);
+        for lists in &mut self.lists {
+            pages.append(&mut lists[kind]);
+        }
+        pages.sort_unstable();
+        pages
     }
 
     /// Returns pages of a tier with one [`PerCpuLists::free`] call per
@@ -582,6 +603,33 @@ mod tests {
                     encoded(&bulk_buddy) == encoded(&single_buddy),
                     "{at}: the buddies differ"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn draining_allocations_leave_the_bytes_of_per_page_allocations() {
+        let mut rng = SimRng::seed_from(25);
+        for case in 0..400 {
+            let cpus = [1, 2, 3, 16][case % 4];
+            let (mut bulk, mut bulk_buddy, mut cpu) = stranded(&mut rng, cpus);
+            let (mut single, mut single_buddy) = (bulk.clone(), bulk_buddy.clone());
+            let pages = bulk.cached_total(MemKind::Slow);
+            // Every page back out, then one failing call more: the CPUs'
+            // own lists, computed drains, and drains that leave pages in
+            // the buddy for the next refills.
+            for call in 0..=pages {
+                let at = format!("case {case}: {cpus} cpus, {pages} stranded, call {call}");
+                let got = bulk.alloc_draining(cpu, MemKind::Slow, &mut bulk_buddy);
+                let want = single.alloc_draining_per_page(cpu, MemKind::Slow, &mut single_buddy);
+                assert_eq!(got, want, "{at}");
+                assert_eq!(got.is_none(), call == pages, "{at}");
+                assert!(encoded(&bulk) == encoded(&single), "{at}: the lists differ");
+                assert!(
+                    encoded(&bulk_buddy) == encoded(&single_buddy),
+                    "{at}: the buddies differ"
+                );
+                cpu = (cpu + 1) % cpus;
             }
         }
     }

@@ -82,7 +82,7 @@ impl AllocStats {
         }
     }
 
-    /// Batched [`Stats::record`]: `total` same-type requests with one
+    /// Batched [`AllocStats::record`]: `total` same-type requests with one
     /// shared `wanted_fast`, of which `got_fast` landed on FastMem.
     /// Equivalent to `total` scalar calls.
     pub fn record_run(&mut self, page_type: PageType, wanted_fast: bool, got_fast: u64, total: u64) {

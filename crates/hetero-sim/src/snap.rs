@@ -11,7 +11,7 @@
 //!   `VecDeque`, and `BTreeMap`; a `Vec` of fixed-width values is one
 //!   slice pass each way ([`Snap::snap_slice`] / [`Snap::unsnap_vec`]),
 //!   with the bytes and errors of a value-by-value pass,
-//! * the [`impl_snap!`] macro — field-by-field struct impls and tag-byte
+//! * the [`impl_snap!`](crate::impl_snap) macro — field-by-field struct impls and tag-byte
 //!   enum impls without per-type boilerplate (usable from any crate:
 //!   `$crate` paths resolve back here),
 //! * a magic/version/layer header ([`write_header`] / [`read_header`])

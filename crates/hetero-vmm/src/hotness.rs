@@ -22,6 +22,7 @@
 //! deterministically); the A/D harvest carries its own bits.
 
 use hetero_guest::page::{Gfn, Page, PageType};
+use hetero_guest::vma::AddressSpace;
 use hetero_guest::GuestKernel;
 use hetero_mem::MemKind;
 
@@ -37,6 +38,58 @@ impl<F: FnMut(&Page) -> bool> TouchOracle for F {
     }
 }
 
+/// A tracking list (§4.1): the virtual address ranges `(start, end)` a
+/// coordinated scan walks, in scan order.
+pub trait TrackingList {
+    /// VPNs across the ranges (a range listed twice counts twice).
+    fn total_vpns(&self) -> u64;
+
+    /// The ranges in scan order.
+    fn ranges(&self) -> impl Iterator<Item = (u64, u64)> + '_;
+
+    /// Where a scan that resumes at `cursor` starts, and the ranges from
+    /// there on: the first range in scan order that holds `cursor` (the
+    /// scan starts at `cursor`) or starts above it (at its start); when
+    /// none does, the first range. `None` for an empty list.
+    fn resume(&self, cursor: u64) -> Option<(u64, impl Iterator<Item = (u64, u64)> + '_)>;
+}
+
+/// A list as the guest posts it over the ring, searched from the front.
+impl TrackingList for [(u64, u64)] {
+    fn total_vpns(&self) -> u64 {
+        self.iter().map(|&(s, e)| e.saturating_sub(s)).sum()
+    }
+
+    fn ranges(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.iter().copied()
+    }
+
+    fn resume(&self, cursor: u64) -> Option<(u64, impl Iterator<Item = (u64, u64)> + '_)> {
+        let held = |&(s, e): &(u64, u64)| (s..e).contains(&cursor) || cursor < s;
+        let (i, at) = match self.iter().position(held) {
+            Some(i) => (i, cursor.max(self[i].0)),
+            None => (0, self.first()?.0),
+        };
+        Some((at, self[i..].iter().copied()))
+    }
+}
+
+/// The guest's anonymous VMAs, kept with their page total and sought
+/// through the VMA tree ([`AddressSpace::anon_ranges_from`]).
+impl TrackingList for AddressSpace {
+    fn total_vpns(&self) -> u64 {
+        self.anon_pages()
+    }
+
+    fn ranges(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.anon_ranges()
+    }
+
+    fn resume(&self, cursor: u64) -> Option<(u64, impl Iterator<Item = (u64, u64)> + '_)> {
+        self.anon_ranges_from(cursor)
+    }
+}
+
 /// Result of one scan pass.
 #[derive(Debug, Clone, Default)]
 pub struct ScanOutcome {
@@ -46,6 +99,26 @@ pub struct ScanOutcome {
     pub hot_candidates: Vec<Gfn>,
     /// FastMem pages whose history shows no recent use.
     pub cold_candidates: Vec<Gfn>,
+}
+
+/// A tracked scan's progress against its two stops.
+struct Walk {
+    /// Mapped PTEs scanned so far.
+    scanned: u64,
+    /// VPNs visited so far, mapped or not.
+    visited: u64,
+    /// PTEs to scan.
+    batch: u64,
+    /// VPNs on the tracking list.
+    total: u64,
+}
+
+impl Walk {
+    /// True once the scan stops: `batch` PTEs scanned, or every VPN on
+    /// the list visited once.
+    fn done(&self) -> bool {
+        self.scanned >= self.batch || self.visited >= self.total
+    }
 }
 
 /// Batched access-bit history tracker for one guest.
@@ -326,12 +399,20 @@ impl HotnessTracker {
         out
     }
 
-    /// As [`HotnessTracker::scan_tracked`], writing into a caller-owned,
-    /// reused [`ScanOutcome`]. The outcome is cleared first.
-    pub fn scan_tracked_into(
+    /// As [`HotnessTracker::scan_tracked`], for any [`TrackingList`] (the
+    /// engine passes the guest's [`AddressSpace`]), writing into a
+    /// caller-owned, reused [`ScanOutcome`]. The outcome is cleared first.
+    ///
+    /// The scan resumes where the previous one stopped and wraps over the
+    /// list until it has scanned `batch` mapped PTEs or visited every VPN
+    /// on the list once; the next scan resumes at the VPN after the last
+    /// one visited. Each range segment's mapped PTEs are read in one
+    /// bounded page-table walk (`PageTable::visit_mapped_while`), not one
+    /// translation per VPN.
+    pub fn scan_tracked_into<T: TrackingList + ?Sized>(
         &mut self,
         kernel: &GuestKernel,
-        tracking: &[(u64, u64)],
+        tracking: &T,
         exceptions: &[PageType],
         oracle: &mut dyn TouchOracle,
         batch: u64,
@@ -341,56 +422,55 @@ impl HotnessTracker {
         out.hot_candidates.clear();
         out.cold_candidates.clear();
         self.total_scans += 1;
-        if tracking.is_empty() {
+        let Some((at, mut resumed)) = tracking.resume(self.tracked_cursor) else {
             return;
-        }
-        // Resume where the previous batch stopped, wrapping over the list.
-        let total_vpns: u64 = tracking.iter().map(|&(s, e)| e.saturating_sub(s)).sum();
-        let mut visited_vpns = 0u64;
-        let start_at = self.tracked_cursor;
-        let mut started = false;
-        'outer: loop {
-            for &(start, end) in tracking {
-                let from = if !started && start_at >= start && start_at < end {
-                    started = true;
-                    start_at
-                } else if started || start_at < start {
-                    started = true;
-                    start
-                } else {
-                    continue; // still seeking the resume point
-                };
-                for vpn in from..end {
-                    if out.scanned >= batch || visited_vpns >= total_vpns {
-                        self.tracked_cursor = vpn;
-                        break 'outer;
-                    }
-                    visited_vpns += 1;
-                    let Some(gfn) = kernel.page_table().translate(vpn) else {
-                        continue;
-                    };
-                    out.scanned += 1;
-                    let page = kernel.memmap().page(gfn);
-                    if exceptions.contains(&page.page_type) {
-                        continue;
-                    }
-                    let touched = oracle.touched(page);
-                    let h = self.record(gfn, touched);
-                    self.classify(kernel, gfn, h, out);
-                }
+        };
+        let mut walk = Walk {
+            scanned: 0,
+            visited: 0,
+            batch,
+            total: tracking.total_vpns(),
+        };
+        // Scans the VPNs `[lo, hi)` of one range; returns the VPN the scan
+        // stops at when that is inside the range.
+        let mut segment = |walk: &mut Walk, lo: u64, hi: u64| -> Option<u64> {
+            if lo >= hi {
+                return None;
             }
-            if !started {
-                // Cursor beyond every range (regions unmapped): restart.
-                self.tracked_cursor = tracking[0].0;
-                started = true;
-                continue;
+            if walk.done() {
+                return Some(lo);
+            }
+            let last = hi.min(lo.saturating_add(walk.total - walk.visited));
+            let stopped = kernel.page_table().visit_mapped_while(lo, last, |_, pte| {
+                walk.scanned += 1;
+                let page = kernel.memmap().page(pte.gfn);
+                if !exceptions.contains(&page.page_type) {
+                    let touched = oracle.touched(page);
+                    let h = self.record(pte.gfn, touched);
+                    self.classify(kernel, pte.gfn, h, out);
+                }
+                walk.scanned < walk.batch
+            });
+            let next = stopped.map_or(last, |vpn| vpn + 1);
+            walk.visited += next - lo;
+            (next < hi).then_some(next)
+        };
+        let mut first = Some(at);
+        let mut stop = resumed.find_map(|(s, e)| segment(&mut walk, first.take().unwrap_or(s), e));
+        let cursor = loop {
+            if let Some(vpn) = stop {
+                break vpn;
             }
             // Wrapped past the last range: continue from the first.
-            self.tracked_cursor = tracking[0].0;
-            if out.scanned >= batch || visited_vpns >= total_vpns {
-                break;
+            if walk.done() {
+                break tracking.ranges().next().map_or(at, |(s, _)| s);
             }
-        }
+            stop = tracking
+                .ranges()
+                .find_map(|(s, e)| segment(&mut walk, s, e));
+        };
+        self.tracked_cursor = cursor;
+        out.scanned = walk.scanned;
         self.total_scanned_frames += out.scanned;
     }
 
@@ -552,6 +632,223 @@ mod tests {
         let mut always = |_: &Page| true;
         let out = t.scan_tracked(&k, &[(vma.start, vma.end())], &[], &mut always, 10);
         assert_eq!(out.scanned, 10);
+    }
+
+    /// The per-VPN tracked scan the bounded walk replaces, kept as the
+    /// reference: one translation per VPN of the list.
+    fn scan_tracked_per_vpn(
+        t: &mut HotnessTracker,
+        kernel: &GuestKernel,
+        tracking: &[(u64, u64)],
+        exceptions: &[PageType],
+        oracle: &mut dyn TouchOracle,
+        batch: u64,
+        out: &mut ScanOutcome,
+    ) {
+        out.scanned = 0;
+        out.hot_candidates.clear();
+        out.cold_candidates.clear();
+        t.total_scans += 1;
+        if tracking.is_empty() {
+            return;
+        }
+        let total_vpns: u64 = tracking.iter().map(|&(s, e)| e.saturating_sub(s)).sum();
+        let mut visited_vpns = 0u64;
+        let start_at = t.tracked_cursor;
+        let mut started = false;
+        'outer: loop {
+            for &(start, end) in tracking {
+                let from = if !started && start_at >= start && start_at < end {
+                    started = true;
+                    start_at
+                } else if started || start_at < start {
+                    started = true;
+                    start
+                } else {
+                    continue;
+                };
+                for vpn in from..end {
+                    if out.scanned >= batch || visited_vpns >= total_vpns {
+                        t.tracked_cursor = vpn;
+                        break 'outer;
+                    }
+                    visited_vpns += 1;
+                    let Some(gfn) = kernel.page_table().translate(vpn) else {
+                        continue;
+                    };
+                    out.scanned += 1;
+                    let page = kernel.memmap().page(gfn);
+                    if exceptions.contains(&page.page_type) {
+                        continue;
+                    }
+                    let touched = oracle.touched(page);
+                    let h = t.record(gfn, touched);
+                    t.classify(kernel, gfn, h, out);
+                }
+            }
+            if !started {
+                t.tracked_cursor = tracking[0].0;
+                started = true;
+                continue;
+            }
+            t.tracked_cursor = tracking[0].0;
+            if out.scanned >= batch || visited_vpns >= total_vpns {
+                break;
+            }
+        }
+        t.total_scanned_frames += out.scanned;
+    }
+
+    fn encoded(t: &HotnessTracker) -> Vec<u8> {
+        let mut w = hetero_sim::snap::SnapWriter::new();
+        hetero_sim::snap::Snap::snap(t, &mut w);
+        w.into_bytes()
+    }
+
+    /// A guest with heap regions on both tiers, holes between them, and
+    /// VPNs inside them whose pages went to swap (mapped VMAs, no PTE).
+    fn holey_kernel(rng: &mut hetero_sim::rng::SimRng) -> GuestKernel {
+        let mut k = GuestKernel::new(GuestConfig {
+            frames: vec![(MemKind::Fast, 256), (MemKind::Slow, 1024)],
+            cpus: 2,
+            page_size: 4096,
+        });
+        for _ in 0..12 {
+            let pages = rng.next_range(1, 60);
+            let tier = if rng.chance(0.3) {
+                MemKind::Fast
+            } else {
+                MemKind::Slow
+            };
+            let heats: Vec<u8> = (0..pages).map(|_| rng.next_range(0, 256) as u8).collect();
+            let _ = k.mmap_heap(pages, heats, &[tier]);
+        }
+        let vmas: Vec<(u64, u64)> = k.address_space().anon_ranges().collect();
+        for &(s, e) in &vmas {
+            if rng.chance(0.3) {
+                k.munmap(rng.next_range(s, e), rng.next_range(1, 20));
+            }
+        }
+        let mapped: Vec<u64> = k
+            .address_space()
+            .anon_ranges()
+            .flat_map(|(s, e)| s..e)
+            .collect();
+        for &vpn in &mapped {
+            if rng.chance(0.15) {
+                let gfn = k.page_table().translate(vpn).expect("mapped");
+                assert!(k.swap_out(gfn));
+            }
+        }
+        k
+    }
+
+    #[test]
+    fn bounded_tracked_scan_matches_the_per_vpn_scan() {
+        let mut rng = hetero_sim::rng::SimRng::seed_from(25);
+        for case in 0..60 {
+            let k = holey_kernel(&mut rng);
+            let anon: Vec<(u64, u64)> = k.address_space().anon_ranges().collect();
+            let top = anon.last().map_or(0, |r| r.1);
+            // The guest's own list, then lists as a ring message may carry
+            // them: out of order, overlapping, empty, reversed, past VPN_LIMIT.
+            let list: Vec<(u64, u64)> = match case % 3 {
+                0 => anon.clone(),
+                _ => (0..rng.next_range(0, 7))
+                    .map(|_| {
+                        let s = rng.next_range(0, top + 20);
+                        let limit = hetero_guest::pagetable::VPN_LIMIT;
+                        match rng.next_range(0, 8) {
+                            0 => (s, s),
+                            1 => (s, s.saturating_sub(rng.next_range(1, 10))),
+                            2 => (limit - rng.next_range(1, 10), limit + 5),
+                            _ => (s, s + rng.next_range(1, 80)),
+                        }
+                    })
+                    .collect(),
+            };
+            let exceptions: &[PageType] = if case % 5 == 4 {
+                &[PageType::HeapAnon]
+            } else {
+                &[]
+            };
+            let seed = rng.next_u64();
+            let mut touch = (
+                hetero_sim::rng::SimRng::seed_from(seed),
+                hetero_sim::rng::SimRng::seed_from(seed),
+            );
+            let [mut walked, mut reference, mut guided, mut sliced] =
+                std::array::from_fn(|_| HotnessTracker::new(2));
+            let (mut a, mut b) = (ScanOutcome::default(), ScanOutcome::default());
+            for scan in 0..12 {
+                let batch = match rng.next_range(0, 4) {
+                    0 => rng.next_range(0, 3),
+                    1 => 1 << 20,
+                    _ => rng.next_range(1, 90),
+                };
+                let at = format!("case {case}, scan {scan}, batch {batch}, list {list:?}");
+                if rng.chance(0.2) {
+                    // A cursor anywhere, as after a reset or a restore.
+                    let cursor = rng.next_range(0, top + 30);
+                    for t in [&mut walked, &mut reference, &mut guided, &mut sliced] {
+                        t.tracked_cursor = cursor;
+                    }
+                }
+                let mut oracle = |p: &Page| touch.0.chance(f64::from(p.heat) / 255.0);
+                walked.scan_tracked_into(
+                    &k,
+                    list.as_slice(),
+                    exceptions,
+                    &mut oracle,
+                    batch,
+                    &mut a,
+                );
+                let mut oracle = |p: &Page| touch.1.chance(f64::from(p.heat) / 255.0);
+                scan_tracked_per_vpn(
+                    &mut reference,
+                    &k,
+                    &list,
+                    exceptions,
+                    &mut oracle,
+                    batch,
+                    &mut b,
+                );
+                assert_eq!(
+                    (a.scanned, &a.hot_candidates, &a.cold_candidates),
+                    (b.scanned, &b.hot_candidates, &b.cold_candidates),
+                    "{at}"
+                );
+                assert!(
+                    encoded(&walked) == encoded(&reference),
+                    "{at}: the trackers differ"
+                );
+                // The address space is the guest's list, sought through the
+                // VMA tree.
+                let mut oracle = |p: &Page| p.heat > 100;
+                guided.scan_tracked_into(
+                    &k,
+                    k.address_space(),
+                    exceptions,
+                    &mut oracle,
+                    batch,
+                    &mut a,
+                );
+                sliced.scan_tracked_into(
+                    &k,
+                    anon.as_slice(),
+                    exceptions,
+                    &mut oracle,
+                    batch,
+                    &mut b,
+                );
+                assert_eq!(
+                    (a.scanned, &a.hot_candidates, &a.cold_candidates),
+                    (b.scanned, &b.hot_candidates, &b.cold_candidates),
+                    "{at}: address space"
+                );
+                assert!(encoded(&guided) == encoded(&sliced), "{at}: address space");
+            }
+        }
     }
 
     #[test]
