@@ -109,7 +109,11 @@ fn run_bench(name: &'static str, iters: u64, mut f: impl FnMut() -> u64) -> Benc
     let elapsed = start.elapsed().as_nanos() as f64;
     let ns_per_op = elapsed / ops.max(1) as f64;
     println!("{name:<24} {ns_per_op:>10.1} ns/op  ({ops} ops)");
-    BenchResult { name, ns_per_op, ops }
+    BenchResult {
+        name,
+        ns_per_op,
+        ops,
+    }
 }
 
 fn bench_buddy_churn(iters: u64) -> BenchResult {
@@ -130,7 +134,11 @@ fn bench_full_vm_scan(iters: u64) -> BenchResult {
         page_size: 4096,
     });
     kernel
-        .mmap_heap(12_000, std::iter::repeat(180), &[MemKind::Slow, MemKind::Fast])
+        .mmap_heap(
+            12_000,
+            std::iter::repeat(180),
+            &[MemKind::Slow, MemKind::Fast],
+        )
         .expect("capacity");
     let total = kernel.memmap().total_frames();
     let mut tracker = HotnessTracker::new(2);
@@ -261,14 +269,23 @@ fn bench_idle_fleet(name: &'static str, active: usize, idle: usize) -> BenchResu
         .with_fast_bytes(8 * GB)
         .with_slow_bytes(24 * GB)
         .with_seed(42);
-    let sim = MultiVmSim::new(cfg, SharePolicy::paper_drf(), Policy::HeteroCoordinated, setups);
+    let sim = MultiVmSim::new(
+        cfg,
+        SharePolicy::paper_drf(),
+        Policy::HeteroCoordinated,
+        setups,
+    );
     let start = Instant::now();
     let reports = sim.run();
     let elapsed = start.elapsed().as_nanos() as f64;
     let ops: u64 = reports.iter().map(|r| r.epochs).sum::<u64>().max(1);
     let ns_per_op = elapsed / ops as f64;
     println!("{name:<24} {ns_per_op:>10.1} ns/op  ({ops} ops)");
-    BenchResult { name, ns_per_op, ops }
+    BenchResult {
+        name,
+        ns_per_op,
+        ops,
+    }
 }
 
 /// One quick-mode cluster consolidation run (120 VM arrivals over 4
@@ -284,8 +301,15 @@ fn bench_cluster_step() -> BenchResult {
     let elapsed = start.elapsed().as_nanos() as f64;
     let ops = outcome.report.epochs.max(1);
     let ns_per_op = elapsed / ops as f64;
-    println!("{:<24} {ns_per_op:>10.1} ns/op  ({ops} ops)", "cluster_step");
-    BenchResult { name: "cluster_step", ns_per_op, ops }
+    println!(
+        "{:<24} {ns_per_op:>10.1} ns/op  ({ops} ops)",
+        "cluster_step"
+    );
+    BenchResult {
+        name: "cluster_step",
+        ns_per_op,
+        ops,
+    }
 }
 
 /// Steps the canonical `ckpt-single` scenario a few dozen epochs in, so
@@ -333,7 +357,11 @@ fn bench_fig9_jobs(name: &'static str, jobs: usize) -> BenchResult {
     std::hint::black_box(set.to_json().len());
     let ns_per_op = start.elapsed().as_nanos() as f64;
     println!("{name:<24} {ns_per_op:>10.1} ns/op  (1 ops)");
-    BenchResult { name, ns_per_op, ops: 1 }
+    BenchResult {
+        name,
+        ns_per_op,
+        ops: 1,
+    }
 }
 
 fn write_json(results: &[BenchResult]) {
@@ -388,7 +416,10 @@ fn check_regression(results: &[BenchResult], retime: impl Fn(&str) -> BenchResul
             if measured / committed <= MAX_REGRESSION {
                 break;
             }
-            println!("check {name}: {:.2}x of committed baseline, timing again", measured / committed);
+            println!(
+                "check {name}: {:.2}x of committed baseline, timing again",
+                measured / committed
+            );
             measured = measured.min(retime(name).ns_per_op);
         }
         let ratio = measured / committed;

@@ -82,9 +82,9 @@ use bench::{
     RECOVERY, TARGETS, TIERS,
 };
 use hetero_core::experiments::ExpOptions;
+use hetero_core::{Policy, SimConfig, SingleVmSim};
 use hetero_faults::FaultKind;
 use hetero_mem::TierProfile;
-use hetero_core::{Policy, SimConfig, SingleVmSim};
 use hetero_workloads::{apps, AppWorkload};
 
 /// Runs a short instrumented simulation and returns its telemetry
@@ -282,9 +282,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
                 None => {
-                    eprintln!(
-                        "--tracking requires a mode (none, full-vm, guided or access-bit)"
-                    );
+                    eprintln!("--tracking requires a mode (none, full-vm, guided or access-bit)");
                     return ExitCode::FAILURE;
                 }
             },
@@ -460,10 +458,12 @@ fn main() -> ExitCode {
         println!("==================== {target} ====================");
         println!("{rendered}");
         if let Some(dir) = &json_out {
-            let result = write_file(dir, &format!("{target}.json"), &artifact.to_json())
-                .and_then(|()| match artifact.to_csv() {
-                    Some(csv) => write_file(dir, &format!("{target}.csv"), &csv),
-                    None => write_file(dir, &format!("{target}.txt"), &rendered),
+            let result =
+                write_file(dir, &format!("{target}.json"), &artifact.to_json()).and_then(|()| {
+                    match artifact.to_csv() {
+                        Some(csv) => write_file(dir, &format!("{target}.csv"), &csv),
+                        None => write_file(dir, &format!("{target}.txt"), &rendered),
+                    }
                 });
             if let Err(e) = result {
                 eprintln!("{e}");

@@ -25,23 +25,8 @@ use hetero_sim::{Runner, SeriesSet};
 
 /// Every experiment target the `repro` binary accepts, in paper order.
 pub const TARGETS: [&str; 17] = [
-    "table1",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
+    "table1", "table3", "table4", "table5", "table6", "fig1", "fig2", "fig3", "fig4", "fig6",
+    "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
 ];
 
 /// Ablation targets (beyond the paper's own experiments).
@@ -53,8 +38,7 @@ pub const ABLATIONS: [&str; 4] = [
 ];
 
 /// §4.3 extension experiments (the paper's future work, built out).
-pub const EXTENSIONS: [&str; 4] =
-    ["ext-multitier", "ext-wear", "ext-baremetal", "ext-hints"];
+pub const EXTENSIONS: [&str; 4] = ["ext-multitier", "ext-wear", "ext-baremetal", "ext-hints"];
 
 /// Crash-consistency and recovery experiments over the NVM tier
 /// (see `hetero_core::experiments::recovery`; honors `--persist` and
@@ -432,7 +416,10 @@ mod tests {
         let art = run_artifact("table1", &opts).unwrap();
         assert!(matches!(art, Artifact::Table(_)));
         let json = art.to_json();
-        assert!(json.starts_with("{\"type\":\"table\",\"text\":\""), "{json}");
+        assert!(
+            json.starts_with("{\"type\":\"table\",\"text\":\""),
+            "{json}"
+        );
         assert!(json.ends_with("\"}"), "{json}");
         assert!(art.to_csv().is_none());
         assert_eq!(art.render(), tables::table1());

@@ -37,7 +37,12 @@ fn run_expect_failure(args: &[&str], needle: &str) {
 #[test]
 fn missing_snapshot_file_fails_cleanly() {
     run_expect_failure(
-        &["--quick", "--resume", "/nonexistent/no-such.snap", "cluster"],
+        &[
+            "--quick",
+            "--resume",
+            "/nonexistent/no-such.snap",
+            "cluster",
+        ],
         "cannot read snapshot",
     );
 }
@@ -67,7 +72,12 @@ fn truncated_and_version_flipped_snapshots_fail_cleanly() {
     let trunc = scratch("truncated.snap");
     std::fs::write(&trunc, &bytes[..bytes.len() / 2]).unwrap();
     run_expect_failure(
-        &["--quick", "--resume", trunc.to_str().unwrap(), "ckpt-single"],
+        &[
+            "--quick",
+            "--resume",
+            trunc.to_str().unwrap(),
+            "ckpt-single",
+        ],
         "truncated",
     );
 
@@ -76,7 +86,12 @@ fn truncated_and_version_flipped_snapshots_fail_cleanly() {
     let vflip = scratch("version-flip.snap");
     std::fs::write(&vflip, &flipped).unwrap();
     run_expect_failure(
-        &["--quick", "--resume", vflip.to_str().unwrap(), "ckpt-single"],
+        &[
+            "--quick",
+            "--resume",
+            vflip.to_str().unwrap(),
+            "ckpt-single",
+        ],
         "version mismatch",
     );
 }
@@ -104,9 +119,18 @@ fn checkpoint_flags_reject_bad_usage() {
         "not checkpointable",
     );
     run_expect_failure(
-        &["--quick", "--checkpoint-every", "5", "ckpt-single", "cluster"],
+        &[
+            "--quick",
+            "--checkpoint-every",
+            "5",
+            "ckpt-single",
+            "cluster",
+        ],
         "exactly one target",
     );
-    run_expect_failure(&["--quick", "--checkpoint-every", "0", "cluster"], "positive");
+    run_expect_failure(
+        &["--quick", "--checkpoint-every", "0", "cluster"],
+        "positive",
+    );
     run_expect_failure(&["--quick", "--resume"], "requires a snapshot file");
 }

@@ -88,7 +88,6 @@ impl IntervalController {
     }
 }
 
-
 hetero_sim::impl_snap!(struct IntervalController { interval, min, max, prev_misses });
 
 #[cfg(test)]

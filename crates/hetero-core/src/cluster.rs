@@ -32,7 +32,9 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
-use hetero_faults::{audit_cluster, AuditLevel, FaultInjector, FaultPlan, HostLedgerView, Violation};
+use hetero_faults::{
+    audit_cluster, AuditLevel, FaultInjector, FaultPlan, HostLedgerView, Violation,
+};
 use hetero_mem::cost::MigrationBatch;
 use hetero_mem::kind::KindMap;
 use hetero_sim::export::json_string;
@@ -272,7 +274,10 @@ impl ClusterReport {
         ));
         out.push_str(&format!("  \"stranded_pages\": {},\n", self.stranded_pages));
         out.push_str(&format!("  \"epochs\": {},\n", self.epochs));
-        out.push_str(&format!("  \"makespan_ns\": {},\n", self.makespan.as_nanos()));
+        out.push_str(&format!(
+            "  \"makespan_ns\": {},\n",
+            self.makespan.as_nanos()
+        ));
         out.push_str("  \"per_host\": [");
         for (i, h) in self.per_host.iter().enumerate() {
             if i > 0 {
@@ -636,10 +641,11 @@ impl Cluster {
         for (host, mut vm) in booted {
             if self.spec.fault_rate > 0.0 {
                 let plan_seed = self.cfg.seed ^ u64::from(vm.id.0).wrapping_mul(0x9E37);
-                vm.sim.set_fault_injector(FaultInjector::new(FaultPlan::power_loss(
-                    plan_seed,
-                    self.spec.fault_rate,
-                )));
+                vm.sim
+                    .set_fault_injector(FaultInjector::new(FaultPlan::power_loss(
+                        plan_seed,
+                        self.spec.fault_rate,
+                    )));
             }
             self.hosts[host].core.vms.push(vm);
         }
@@ -651,7 +657,11 @@ impl Cluster {
         self.hosts
             .iter()
             .enumerate()
-            .filter(|(_, h)| grant_kinds().into_iter().all(|k| h.core.fair.free(k) >= min[k]))
+            .filter(|(_, h)| {
+                grant_kinds()
+                    .into_iter()
+                    .all(|k| h.core.fair.free(k) >= min[k])
+            })
             .min_by(|(ai, a), (bi, b)| {
                 Self::load_of(a)
                     .partial_cmp(&Self::load_of(b))
@@ -703,7 +713,10 @@ impl Cluster {
                     self.makespan = self.makespan.max(end);
                     violations.extend_from_slice(vm.sim.violations());
                     self.finished.push((vm.id.0, vm.sim.report()));
-                    host.core.fair.unregister(vm.id).expect("departing VM is registered");
+                    host.core
+                        .fair
+                        .unregister(vm.id)
+                        .expect("departing VM is registered");
                     self.departures += 1;
                 } else {
                     i += 1;
@@ -837,7 +850,11 @@ impl Cluster {
             .sim
             .charge_external(CostCategory::PageCopy, downtime);
         // Ledger transfer: debit source fully, credit destination exactly.
-        let freed = self.hosts[src].core.fair.unregister(id).expect("migrating VM is registered");
+        let freed = self.hosts[src]
+            .core
+            .fair
+            .unregister(id)
+            .expect("migrating VM is registered");
         debug_assert_eq!(freed, alloc, "source debit must match the allocation");
         self.hosts[dst].core.fair.register(id, min);
         let growth = KindMap::from_fn(|k| alloc[k] - min[k]);
@@ -891,7 +908,11 @@ impl Cluster {
             deferrals: self.deferrals,
             rejected: self.rejected,
             migrations: self.migrations.len() as u64,
-            precopy_rounds: self.migrations.iter().map(|m| u64::from(m.precopy_rounds)).sum(),
+            precopy_rounds: self
+                .migrations
+                .iter()
+                .map(|m| u64::from(m.precopy_rounds))
+                .sum(),
             pages_copied: self.migrations.iter().map(|m| m.pages_copied).sum(),
             migration_cost: self
                 .migrations
@@ -929,7 +950,6 @@ pub fn mean_peak_live(report: &ClusterReport) -> f64 {
     let sum: u64 = report.per_host.iter().map(|h| h.peak_live).sum();
     sum as f64 / report.per_host.len() as f64
 }
-
 
 hetero_sim::impl_snap!(enum ArrivalProcess {
     0 => Poisson { mean_interarrival, count },
@@ -1114,10 +1134,7 @@ mod tests {
     fn placement_prefers_least_loaded_feasible_host() {
         // Two hosts; a trace admitting two VMs at t=0 must split them.
         let mut s = spec(2, 0);
-        s.arrivals = ArrivalProcess::Trace(vec![
-            (Nanos::ZERO, 0),
-            (Nanos::ZERO, 0),
-        ]);
+        s.arrivals = ArrivalProcess::Trace(vec![(Nanos::ZERO, 0), (Nanos::ZERO, 0)]);
         let cluster = Cluster::new(
             host_cfg(),
             SharePolicy::paper_drf(),
@@ -1127,8 +1144,17 @@ mod tests {
         );
         let outcome = cluster.run();
         assert_eq!(outcome.report.arrivals, 2);
-        let admitted: Vec<u64> = outcome.report.per_host.iter().map(|h| h.vms_admitted).collect();
-        assert_eq!(admitted, vec![1, 1], "consolidation must spread equal loads");
+        let admitted: Vec<u64> = outcome
+            .report
+            .per_host
+            .iter()
+            .map(|h| h.vms_admitted)
+            .collect();
+        assert_eq!(
+            admitted,
+            vec![1, 1],
+            "consolidation must spread equal loads"
+        );
     }
 
     #[test]
@@ -1212,8 +1238,14 @@ mod tests {
         assert!(m.precopy_rounds >= 1);
         assert!(m.pages_copied > 0);
         assert!(!m.cost.is_zero(), "migration must be priced");
-        assert_eq!(outcome.report.migration_cost.as_nanos(),
-            outcome.migrations.iter().map(|m| m.cost.as_nanos()).sum::<u64>());
+        assert_eq!(
+            outcome.report.migration_cost.as_nanos(),
+            outcome
+                .migrations
+                .iter()
+                .map(|m| m.cost.as_nanos())
+                .sum::<u64>()
+        );
         // The migrated VM paid for its own move as PageCopy time.
         let (_, migrated) = outcome
             .vm_reports
@@ -1270,7 +1302,11 @@ mod tests {
             .run()
             .to_json()
         };
-        assert_eq!(run(1), run(4), "host sharding must be thread-count invariant");
+        assert_eq!(
+            run(1),
+            run(4),
+            "host sharding must be thread-count invariant"
+        );
     }
 
     #[test]
@@ -1318,7 +1354,10 @@ mod tests {
         };
         let schedule = Cluster::schedule(&spec, 42);
         assert!(
-            schedule.iter().zip(schedule.iter().skip(1)).all(|(a, b)| a.0 <= b.0),
+            schedule
+                .iter()
+                .zip(schedule.iter().skip(1))
+                .all(|(a, b)| a.0 <= b.0),
             "arrival times must be nondecreasing"
         );
         let past_2_53: Vec<u64> = schedule
@@ -1369,10 +1408,7 @@ mod tests {
                 VmSetup::new(blocker, 2 * GB, 2 * GB, 4 * GB, 4 * GB),
                 VmSetup::new(follower, 32 * MB, 64 * MB, 128 * MB, 256 * MB),
             ],
-            arrivals: ArrivalProcess::Trace(vec![
-                (Nanos::ZERO, 0),
-                (Nanos::from_millis(1), 1),
-            ]),
+            arrivals: ArrivalProcess::Trace(vec![(Nanos::ZERO, 0), (Nanos::from_millis(1), 1)]),
             // Long enough that the blocker certainly retires in round 1.
             quantum: Nanos::from_secs(30),
             migration: MigrationPolicy::default(),

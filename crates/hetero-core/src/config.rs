@@ -45,7 +45,9 @@ impl FromStr for SchedMode {
         match s {
             "dense" => Ok(SchedMode::Dense),
             "event" => Ok(SchedMode::Event),
-            other => Err(format!("unknown sched mode '{other}' (expected dense or event)")),
+            other => Err(format!(
+                "unknown sched mode '{other}' (expected dense or event)"
+            )),
         }
     }
 }
@@ -370,7 +372,6 @@ impl Default for SimConfig {
         SimConfig::paper_default()
     }
 }
-
 
 hetero_sim::impl_snap!(enum SchedMode {
     0 => Dense {},

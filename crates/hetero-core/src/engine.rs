@@ -237,9 +237,11 @@ impl<W: Workload> SingleVmSim<W> {
         let medium_params = (medium_frames > 0).then(|| {
             match profile_spec.as_ref().and_then(|s| s.tier(MemKind::Medium)) {
                 Some(spec) => spec.node_params(MemKind::Medium, cfg.medium_bytes.max(1)),
-                None => {
-                    NodeParams::new(MemKind::Medium, cfg.medium_bytes.max(1), cfg.medium_throttle)
-                }
+                None => NodeParams::new(
+                    MemKind::Medium,
+                    cfg.medium_bytes.max(1),
+                    cfg.medium_throttle,
+                ),
             }
         });
         let (chain_fast_first, chain_slow_only, chain_slow_first) = if medium_frames > 0 {
@@ -752,7 +754,10 @@ impl<W: Workload> SingleVmSim<W> {
             ("swap_outs", swap.swap_outs),
             ("swap_ins", swap.swap_ins),
             ("tracker_scans", self.tracker.total_scans()),
-            ("tracker_scanned_frames", self.tracker.total_scanned_frames()),
+            (
+                "tracker_scanned_frames",
+                self.tracker.total_scanned_frames(),
+            ),
         ];
         let costs = EpochCosts {
             epoch: self.epochs,
@@ -892,8 +897,10 @@ impl<W: Workload> SingleVmSim<W> {
         {
             let mm = self.kernel.memmap();
             for tier in MemKind::ALL {
-                resident_before +=
-                    mm.iter_kind(tier).filter(|&g| mm.page(g).is_present()).count() as u64;
+                resident_before += mm
+                    .iter_kind(tier)
+                    .filter(|&g| mm.page(g).is_present())
+                    .count() as u64;
             }
             for &f in &survivors {
                 let p = mm.page(Gfn(f));
@@ -1003,7 +1010,11 @@ impl<W: Workload> SingleVmSim<W> {
             }
         }
         for &(off, h) in &cache {
-            if self.kernel.page_in(CACHE_FILE, off, h, &[MemKind::Slow]).is_ok() {
+            if self
+                .kernel
+                .page_in(CACHE_FILE, off, h, &[MemKind::Slow])
+                .is_ok()
+            {
                 self.cache_live.push_back(off);
             }
         }
@@ -1037,11 +1048,7 @@ impl<W: Workload> SingleVmSim<W> {
         // priced like a migration's walk + copy.
         let scanned = self.cfg.real_pages(self.kernel.total_frames(MemKind::Slow));
         let rebuilt = self.cfg.real_pages(recovered + swap_slots.len() as u64);
-        let cost = self
-            .cfg
-            .costs
-            .scan_per_page
-            .saturating_mul(scanned)
+        let cost = self.cfg.costs.scan_per_page.saturating_mul(scanned)
             + self
                 .cfg
                 .costs
@@ -1097,8 +1104,11 @@ impl<W: Workload> SingleVmSim<W> {
                 d.flushed_frames(),
             )
         });
-        let recovery_stats =
-            (self.recoveries > 0).then_some((self.recoveries, self.recovered_frames, self.lost_frames));
+        let recovery_stats = (self.recoveries > 0).then_some((
+            self.recoveries,
+            self.recovered_frames,
+            self.lost_frames,
+        ));
         let Some(t) = self.telemetry.as_mut() else {
             return;
         };
@@ -1302,10 +1312,7 @@ impl<W: Workload> SingleVmSim<W> {
                 } else {
                     self.chain_fast_first
                 };
-                let groups = [
-                    (hot, hot_chain),
-                    (cold, self.chain_slow_only),
-                ];
+                let groups = [(hot, hot_chain), (cold, self.chain_slow_only)];
                 for (group, chain) in groups {
                     if group.is_empty() {
                         continue;
@@ -1446,10 +1453,9 @@ impl<W: Workload> SingleVmSim<W> {
                 }
             }
             // Static chains: one placement decision covers the epoch.
-            Policy::SlowMemOnly
-            | Policy::FastMemOnly
-            | Policy::HeapOd
-            | Policy::VmmExclusive => (self.preference(page_type), remaining),
+            Policy::SlowMemOnly | Policy::FastMemOnly | Policy::HeapOd | Policy::VmmExclusive => {
+                (self.preference(page_type), remaining)
+            }
         }
     }
 
@@ -1469,8 +1475,8 @@ impl<W: Workload> SingleVmSim<W> {
             remaining -= run;
             let mut run_left = run;
             while run_left > 0 {
-                let free_total = self.kernel.free_frames(MemKind::Fast)
-                    + self.kernel.free_frames(MemKind::Slow);
+                let free_total =
+                    self.kernel.free_frames(MemKind::Fast) + self.kernel.free_frames(MemKind::Slow);
                 if free_total == 0 {
                     // The next object trips the reclaim storm (its chain —
                     // computed before the storm, as its own decision would
@@ -1517,9 +1523,9 @@ impl<W: Workload> SingleVmSim<W> {
         } else {
             let start = self.buffer_next;
             self.buffer_next += count;
-            let ok = self
-                .kernel
-                .buffer_page_in_many(BUFFER_FILE, start, count, 224, chain.as_slice());
+            let ok =
+                self.kernel
+                    .buffer_page_in_many(BUFFER_FILE, start, count, 224, chain.as_slice());
             (start, ok)
         };
         let live = if is_cache {
@@ -1548,7 +1554,9 @@ impl<W: Workload> SingleVmSim<W> {
         let mut pending: Option<TierChain> = None;
         while remaining > 0 {
             let (chain, run) = self.next_pref_run(page_type, remaining, &mut pending);
-            let _ = self.kernel.slab_alloc_bulk(class, run, 224, chain.as_slice());
+            let _ = self
+                .kernel
+                .slab_alloc_bulk(class, run, 224, chain.as_slice());
             remaining -= run;
         }
     }
@@ -1633,7 +1641,8 @@ impl<W: Workload> SingleVmSim<W> {
                 continue; // already unmapped by churn
             };
             if self.kernel.memmap().page(gfn).heat > 50 {
-                self.kernel.set_page_heat(gfn, hetero_workloads::WorkloadSpec::COLD_HEAT);
+                self.kernel
+                    .set_page_heat(gfn, hetero_workloads::WorkloadSpec::COLD_HEAT);
                 self.kernel.set_page_write_heat(gfn, 1);
                 to_cool -= 1;
             }
@@ -1725,8 +1734,7 @@ impl<W: Workload> SingleVmSim<W> {
             // with a read/write bandwidth split — Optane DC's 6.6 GB/s read
             // vs 2.3 GB/s write — serialize each direction on its own rail.
             let node_bw = if p.bandwidth_gbps == p.write_bandwidth_gbps {
-                (reads[i] + writes[i]) * line_bytes * storm
-                    / (p.bandwidth_gbps * self.bw_share)
+                (reads[i] + writes[i]) * line_bytes * storm / (p.bandwidth_gbps * self.bw_share)
             } else {
                 (reads[i] * line_bytes / p.bandwidth_gbps
                     + writes[i] * line_bytes / p.write_bandwidth_gbps)
@@ -1753,8 +1761,7 @@ impl<W: Workload> SingleVmSim<W> {
             // The swap subsystem remembers real per-page heat; unbacked
             // allocations are assumed cold.
             let swap_heat = self.kernel.swapped_heat() as f64
-                + self.swapped_heap as f64
-                    * hetero_workloads::WorkloadSpec::COLD_HEAT as f64;
+                + self.swapped_heap as f64 * hetero_workloads::WorkloadSpec::COLD_HEAT as f64;
             let frac = swap_heat / (swap_heat + resident_heat.max(1.0));
             // Cold pages have reuse distances far beyond one epoch: once
             // faulted in, a page stays resident for many epochs (something
@@ -1808,16 +1815,8 @@ impl<W: Workload> SingleVmSim<W> {
         }
         self.migrations_tallied += sim_pages;
         let real = self.cfg.real_pages(sim_pages);
-        let walk = self
-            .cfg
-            .costs
-            .page_walk_per_page(real)
-            .saturating_mul(real);
-        let copy = self
-            .cfg
-            .costs
-            .page_move_per_page(real)
-            .saturating_mul(real);
+        let walk = self.cfg.costs.page_walk_per_page(real).saturating_mul(real);
+        let copy = self.cfg.costs.page_move_per_page(real).saturating_mul(real);
         self.clock.charge(CostCategory::PageWalk, walk);
         self.clock.charge(CostCategory::PageCopy, copy);
         self.clock
@@ -1976,9 +1975,7 @@ impl<W: Workload> SingleVmSim<W> {
         // ever more rarely.
         if guest_assisted && self.cfg.adaptive_interval {
             self.interval.observe(self.epoch_misses);
-            if self.last_scan_yield.saturating_mul(4)
-                < self.cfg.sim_batch(self.cfg.migrate_batch)
-            {
+            if self.last_scan_yield.saturating_mul(4) < self.cfg.sim_batch(self.cfg.migrate_batch) {
                 self.interval.back_off(1.5);
             }
         }
@@ -2177,7 +2174,11 @@ impl<W: Workload> SingleVmSim<W> {
                     break;
                 };
                 next_cold += 1;
-                if self.kernel.migrate_page_forced(victim, MemKind::Slow).is_err() {
+                if self
+                    .kernel
+                    .migrate_page_forced(victim, MemKind::Slow)
+                    .is_err()
+                {
                     continue;
                 }
                 migrated += 1;
@@ -2237,7 +2238,6 @@ pub fn run_app(cfg: &SimConfig, policy: Policy, spec: hetero_workloads::Workload
     let workload = AppWorkload::new(spec, cfg.page_size, cfg.scale);
     SingleVmSim::new(cfg.clone(), policy, workload).run()
 }
-
 
 hetero_sim::impl_snap!(struct TierChain { kinds, len });
 
@@ -2373,7 +2373,11 @@ mod tests {
         let kind = |vpn| sim.kernel.memmap().kind_of(gfn(&sim.kernel, vpn));
         assert_eq!(kind(hot.start), MemKind::Slow, "the first hot page waits");
         assert_eq!(kind(hot.start + 1), MemKind::Fast, "the second is promoted");
-        assert_eq!(kind(cold.start), MemKind::Slow, "the second victim is demoted");
+        assert_eq!(
+            kind(cold.start),
+            MemKind::Slow,
+            "the second victim is demoted"
+        );
     }
 
     #[test]
@@ -2503,8 +2507,7 @@ mod tests {
         let log = sim.events().expect("tracing enabled");
         assert!(!log.is_empty());
         assert!(
-            log.iter().any(|e| e.kind == hetero_sim::EventKind::Scan)
-                || log.dropped() > 0,
+            log.iter().any(|e| e.kind == hetero_sim::EventKind::Scan) || log.dropped() > 0,
             "scans should be traced"
         );
         // Untraced runs carry no log.
@@ -2535,7 +2538,11 @@ mod tests {
             sim.next_scan = sim.clock.now() - behind;
             let scans = sim.scans;
             sim.run_management();
-            assert_eq!(sim.scans, scans + 4, "{tracking}: catch-up must stop at four passes");
+            assert_eq!(
+                sim.scans,
+                scans + 4,
+                "{tracking}: catch-up must stop at four passes"
+            );
             assert_eq!(
                 sim.next_scan,
                 sim.clock.now() + sim.scan_period(tracking),
@@ -2709,7 +2716,10 @@ mod tests {
         ] {
             let restored = std::panic::catch_unwind(|| SingleVmSim::restore(&mutant));
             let err = restored.expect("restore must not panic").err();
-            assert!(matches!(err, Some(SnapshotError::Corrupt(_))), "{what}: {err:?}");
+            assert!(
+                matches!(err, Some(SnapshotError::Corrupt(_))),
+                "{what}: {err:?}"
+            );
         }
         let mut back = SingleVmSim::restore(&bytes).expect("the unmutated snapshot restores");
         back.recover(FaultKind::GuestCrashPersist);
@@ -2725,9 +2735,9 @@ mod tests {
             let spec = short_spec(apps::redis());
             let wl = AppWorkload::new(spec, cfg.page_size, cfg.scale);
             let mut sim = SingleVmSim::new(cfg, Policy::HeteroLru, wl);
-            sim.set_fault_injector(FaultInjector::new(
-                hetero_faults::FaultPlan::power_loss(11, 0.05),
-            ));
+            sim.set_fault_injector(FaultInjector::new(hetero_faults::FaultPlan::power_loss(
+                11, 0.05,
+            )));
             while sim.step() {}
             assert!(
                 sim.violations().is_empty(),
@@ -2767,7 +2777,10 @@ mod tests {
         }
         assert!(slow_resident(&sim) > 0, "workload must populate SlowMem");
         sim.recover(hetero_faults::FaultKind::GuestCrashPersist);
-        assert!(sim.recovered_frames() > 0, "NVM residents survive a guest crash");
+        assert!(
+            sim.recovered_frames() > 0,
+            "NVM residents survive a guest crash"
+        );
         assert!(slow_resident(&sim) > 0);
         assert!(sim.violations().is_empty(), "{:?}", sim.violations());
         // Power loss with persistence off: nothing is durable.

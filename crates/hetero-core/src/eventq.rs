@@ -180,7 +180,6 @@ impl EventQueue {
     }
 }
 
-
 hetero_sim::impl_snap!(enum EngineEvent {
     0 => Scan {},
     1 => Reclaim {},

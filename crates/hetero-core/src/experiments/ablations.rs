@@ -31,7 +31,9 @@ pub fn ablation_lru_eviction(opts: &ExpOptions) -> SeriesSet {
     let rows = opts.runner().run(specs, |spec| {
         let base = SimConfig::paper_default()
             .with_capacity_ratio(1, 4)
-            .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched);
+            .with_seed(opts.seed)
+            .with_audit(opts.audit)
+            .with_sched(opts.sched);
         let slow = run_app(&base, Policy::SlowMemOnly, spec.clone());
         let eager = run_app(&base, Policy::HeteroLru, spec.clone());
         let lazy_cfg = SimConfig {
@@ -62,7 +64,9 @@ pub fn ablation_adaptive_interval(opts: &ExpOptions) -> SeriesSet {
     let rows = opts.runner().run(specs, |spec| {
         let base = SimConfig::paper_default()
             .with_capacity_ratio(1, 4)
-            .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched);
+            .with_seed(opts.seed)
+            .with_audit(opts.audit)
+            .with_sched(opts.sched);
         let slow = run_app(&base, Policy::SlowMemOnly, spec.clone());
         let adaptive = run_app(&base, Policy::HeteroCoordinated, spec.clone());
         let fixed_cfg = SimConfig {
@@ -99,7 +103,9 @@ pub fn ablation_tracking_scope(opts: &ExpOptions) -> SeriesSet {
     let rows = opts.runner().run(specs, |spec| {
         let base = SimConfig::paper_default()
             .with_capacity_ratio(1, 4)
-            .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched);
+            .with_seed(opts.seed)
+            .with_audit(opts.audit)
+            .with_sched(opts.sched);
         let slow = run_app(&base, Policy::SlowMemOnly, spec.clone());
         let guided = run_app(&base, Policy::HeteroCoordinated, spec.clone());
         let full_cfg = SimConfig {
@@ -138,7 +144,9 @@ pub fn ablation_drf_weights(opts: &ExpOptions) -> SeriesSet {
             SimConfig::paper_default()
                 .with_fast_bytes(4 << 30)
                 .with_slow_bytes(8 << 30)
-                .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched),
+                .with_seed(opts.seed)
+                .with_audit(opts.audit)
+                .with_sched(opts.sched),
             SharePolicy::WeightedDrf { weights },
             Policy::HeteroCoordinated,
             sharing::paper_setups(opts),
@@ -146,8 +154,16 @@ pub fn ablation_drf_weights(opts: &ExpOptions) -> SeriesSet {
         .run()
     });
     for (weight, reports) in sweep.into_iter().zip(rows) {
-        set.record("graphchi-vm-runtime-s", weight, reports[0].runtime.as_secs_f64());
-        set.record("metis-vm-runtime-s", weight, reports[1].runtime.as_secs_f64());
+        set.record(
+            "graphchi-vm-runtime-s",
+            weight,
+            reports[0].runtime.as_secs_f64(),
+        );
+        set.record(
+            "metis-vm-runtime-s",
+            weight,
+            reports[1].runtime.as_secs_f64(),
+        );
     }
     set
 }

@@ -30,7 +30,9 @@ pub fn fig3(opts: &ExpOptions) -> SeriesSet {
     }
     let reports = opts.runner().run(runs.clone(), |(ai, den)| {
         let cfg = SimConfig::paper_default()
-            .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched)
+            .with_seed(opts.seed)
+            .with_audit(opts.audit)
+            .with_sched(opts.sched)
             .with_capacity_ratio(1, den);
         let policy = if den == 1 {
             Policy::FastMemOnly

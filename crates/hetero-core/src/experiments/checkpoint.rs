@@ -106,7 +106,10 @@ mod tests {
         while straight.step() {
             total += 1;
         }
-        assert!(total >= 2, "scenario must run long enough to checkpoint mid-run");
+        assert!(
+            total >= 2,
+            "scenario must run long enough to checkpoint mid-run"
+        );
 
         let mut first = single_sim(&opts, Policy::HeteroCoordinated);
         for _ in 0..total / 2 {
@@ -118,7 +121,11 @@ mod tests {
         while resumed.step() {}
 
         assert_eq!(straight.report(), resumed.report());
-        assert_eq!(straight.save(), resumed.save(), "final state must be byte-identical");
+        assert_eq!(
+            straight.save(),
+            resumed.save(),
+            "final state must be byte-identical"
+        );
     }
 
     #[test]
@@ -154,7 +161,10 @@ mod tests {
         while straight.step_fleet() {
             total += 1;
         }
-        assert!(total >= 2, "scenario must run long enough to checkpoint mid-run");
+        assert!(
+            total >= 2,
+            "scenario must run long enough to checkpoint mid-run"
+        );
 
         let mut first = fleet_sim(&opts, Policy::HeteroCoordinated);
         for _ in 0..total / 2 {

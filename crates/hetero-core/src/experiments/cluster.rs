@@ -50,10 +50,34 @@ fn fleet_app(base: WorkloadSpec, opts: &ExpOptions) -> WorkloadSpec {
 /// footprint several times the others (the consolidation stressor).
 pub fn fleet_templates(opts: &ExpOptions) -> Vec<VmSetup> {
     vec![
-        VmSetup::new(fleet_app(apps::redis(), opts), 64 * MB, 128 * MB, 256 * MB, 512 * MB),
-        VmSetup::new(fleet_app(apps::leveldb(), opts), 64 * MB, 128 * MB, 256 * MB, 512 * MB),
-        VmSetup::new(fleet_app(apps::nginx(), opts), 32 * MB, 64 * MB, 128 * MB, 256 * MB),
-        VmSetup::new(fleet_app(apps::graphchi(), opts), 256 * MB, 512 * MB, GB, 2 * GB),
+        VmSetup::new(
+            fleet_app(apps::redis(), opts),
+            64 * MB,
+            128 * MB,
+            256 * MB,
+            512 * MB,
+        ),
+        VmSetup::new(
+            fleet_app(apps::leveldb(), opts),
+            64 * MB,
+            128 * MB,
+            256 * MB,
+            512 * MB,
+        ),
+        VmSetup::new(
+            fleet_app(apps::nginx(), opts),
+            32 * MB,
+            64 * MB,
+            128 * MB,
+            256 * MB,
+        ),
+        VmSetup::new(
+            fleet_app(apps::graphchi(), opts),
+            256 * MB,
+            512 * MB,
+            GB,
+            2 * GB,
+        ),
     ]
 }
 
@@ -87,7 +111,11 @@ pub fn fleet_spec(opts: &ExpOptions) -> ClusterSpec {
         (0, true) => DEFAULT_HOSTS_QUICK,
         (n, _) => n,
     };
-    let count = if opts.quick { DEFAULT_VMS_QUICK } else { DEFAULT_VMS };
+    let count = if opts.quick {
+        DEFAULT_VMS_QUICK
+    } else {
+        DEFAULT_VMS
+    };
     let templates = fleet_templates(opts);
     let arrivals = match opts.arrival {
         ArrivalMode::Poisson => ArrivalProcess::Poisson {

@@ -41,7 +41,9 @@ pub fn fig11(opts: &ExpOptions) -> SeriesSet {
     let reports = opts.runner().run(runs.clone(), |(ai, den, policy)| {
         let cfg = SimConfig::paper_default()
             .with_capacity_ratio(1, den)
-            .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched);
+            .with_seed(opts.seed)
+            .with_audit(opts.audit)
+            .with_sched(opts.sched);
         run_app(&cfg, policy, specs[ai].clone())
     });
     let mut slow = None;
@@ -91,12 +93,12 @@ pub fn fig12(opts: &ExpOptions) -> Vec<MigrationGain> {
     }
     let cfg = SimConfig::paper_default()
         .with_capacity_ratio(1, 4)
-        .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched);
-    let reports = opts
-        .runner()
-        .run(runs.clone(), |(ai, policy)| {
-            run_app(&cfg, policy, specs[ai].clone())
-        });
+        .with_seed(opts.seed)
+        .with_audit(opts.audit)
+        .with_sched(opts.sched);
+    let reports = opts.runner().run(runs.clone(), |(ai, policy)| {
+        run_app(&cfg, policy, specs[ai].clone())
+    });
     let mut out = Vec::new();
     let mut placement_only = None;
     for (&(ai, policy), r) in runs.iter().zip(&reports) {

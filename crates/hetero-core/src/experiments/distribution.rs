@@ -37,7 +37,9 @@ pub fn fig4(opts: &ExpOptions) -> Vec<PageMix> {
     opts.runner().run(specs, |spec| {
         let cfg = SimConfig::paper_default()
             .with_capacity_ratio(1, 4)
-            .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched);
+            .with_seed(opts.seed)
+            .with_audit(opts.audit)
+            .with_sched(opts.sched);
         let name = spec.name;
         let workload = AppWorkload::new(spec, cfg.page_size, cfg.scale);
         let mut sim = SingleVmSim::new(cfg.clone(), Policy::SlowMemOnly, workload);
@@ -127,8 +129,7 @@ mod tests {
             assert!((sum - 1.0).abs() < 1e-9, "{}", m.app);
         }
         // Graphchi allocates the most pages overall (Fig 4: 5.04 M).
-        let totals: Vec<(&str, f64)> =
-            mixes.iter().map(|m| (m.app, m.total_millions)).collect();
+        let totals: Vec<(&str, f64)> = mixes.iter().map(|m| (m.app, m.total_millions)).collect();
         let max = totals
             .iter()
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))

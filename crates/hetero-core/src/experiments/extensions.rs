@@ -38,7 +38,9 @@ pub fn ext_multitier(opts: &ExpOptions) -> SeriesSet {
     let rows = opts.runner().run(specs, |spec| {
         let two_tier = SimConfig::paper_default()
             .with_fast_bytes(GB)
-            .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched);
+            .with_seed(opts.seed)
+            .with_audit(opts.audit)
+            .with_sched(opts.sched);
         let slow = run_app(&two_tier, Policy::SlowMemOnly, spec.clone());
         let r2 = run_app(&two_tier, Policy::HeteroLru, spec.clone());
 
@@ -81,7 +83,9 @@ pub fn ext_wear(opts: &ExpOptions) -> SeriesSet {
             nvm_slow: true,
             ..SimConfig::paper_default()
                 .with_capacity_ratio(1, 4)
-                .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched)
+                .with_seed(opts.seed)
+                .with_audit(opts.audit)
+                .with_sched(opts.sched)
         };
         let slow = run_app(&base, Policy::SlowMemOnly, spec.clone());
         let plain = run_app(&base, Policy::HeteroCoordinated, spec.clone());
@@ -121,7 +125,9 @@ pub fn ext_baremetal(opts: &ExpOptions) -> SeriesSet {
     let rows = opts.runner().run(specs, |spec| {
         let virt = SimConfig::paper_default()
             .with_capacity_ratio(1, 4)
-            .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched);
+            .with_seed(opts.seed)
+            .with_audit(opts.audit)
+            .with_sched(opts.sched);
         let slow = run_app(&virt, Policy::SlowMemOnly, spec.clone());
         let v = run_app(&virt, Policy::HeteroCoordinated, spec.clone());
         let bare_cfg = SimConfig {
@@ -160,7 +166,9 @@ pub fn ext_hints(opts: &ExpOptions) -> SeriesSet {
     let rows = opts.runner().run(specs, |spec| {
         let base = SimConfig::paper_default()
             .with_capacity_ratio(1, 8)
-            .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched);
+            .with_seed(opts.seed)
+            .with_audit(opts.audit)
+            .with_sched(opts.sched);
         let slow = run_app(&base, Policy::SlowMemOnly, spec.clone());
         let transparent = run_app(&base, Policy::HeapIoSlabOd, spec.clone());
         let hinted_cfg = SimConfig {
@@ -242,7 +250,10 @@ mod tests {
         for ai in 0..2 {
             let t = at(&set, "transparent-gain", ai as f64);
             let h = at(&set, "hinted-gain", ai as f64);
-            assert!(h >= t - 2.0, "app {ai}: hinted {h:.1}% vs transparent {t:.1}%");
+            assert!(
+                h >= t - 2.0,
+                "app {ai}: hinted {h:.1}% vs transparent {t:.1}%"
+            );
         }
     }
 

@@ -27,7 +27,9 @@ fn micro_cfg(opts: &ExpOptions) -> SimConfig {
     SimConfig::paper_default()
         .with_fast_bytes(GB / 2)
         .with_slow_bytes(3 * GB + GB / 2)
-        .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched)
+        .with_seed(opts.seed)
+        .with_audit(opts.audit)
+        .with_sched(opts.sched)
 }
 
 /// Figure 6: average memory latency (cycles) versus working-set size.
@@ -46,11 +48,9 @@ pub fn fig6(opts: &ExpOptions) -> SeriesSet {
             runs.push((si, policy));
         }
     }
-    let reports = opts
-        .runner()
-        .run(runs.clone(), |(si, policy)| {
-            run_app(&micro_cfg(opts), policy, specs[si].clone())
-        });
+    let reports = opts.runner().run(runs.clone(), |(si, policy)| {
+        run_app(&micro_cfg(opts), policy, specs[si].clone())
+    });
     for (&(si, policy), r) in runs.iter().zip(&reports) {
         let wss_gb = specs[si].footprint.heap as f64 / GB as f64;
         set.record(
@@ -79,11 +79,9 @@ pub fn fig7(opts: &ExpOptions) -> SeriesSet {
             runs.push((si, policy));
         }
     }
-    let reports = opts
-        .runner()
-        .run(runs.clone(), |(si, policy)| {
-            run_app(&micro_cfg(opts), policy, specs[si].clone())
-        });
+    let reports = opts.runner().run(runs.clone(), |(si, policy)| {
+        run_app(&micro_cfg(opts), policy, specs[si].clone())
+    });
     for (&(si, policy), r) in runs.iter().zip(&reports) {
         let wss_gb = specs[si].footprint.heap as f64 / GB as f64;
         set.record(policy.name(), wss_gb, r.achieved_bandwidth_gbps);
@@ -110,8 +108,8 @@ mod tests {
     fn fig6_latency_ordering_matches_paper() {
         let set = fig6(&ExpOptions::quick());
         let small = 0.099609375; // 102 MB point
-        // Small working set: on-demand allocation achieves near-ideal
-        // latency; VMM-exclusive stays slow (lazy placement).
+                                 // Small working set: on-demand allocation achieves near-ideal
+                                 // latency; VMM-exclusive stays slow (lazy placement).
         let fast = at(&set, "FastMem-only", small);
         let od = at(&set, "Heap-OD", small);
         let vmm = at(&set, "VMM-exclusive", small);

@@ -28,7 +28,9 @@ pub fn fig8(opts: &ExpOptions) -> SeriesSet {
         let cfg = SimConfig::paper_default()
             .with_capacity_ratio(1, 4)
             .with_scan_interval(Nanos::from_millis(ms))
-            .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched);
+            .with_seed(opts.seed)
+            .with_audit(opts.audit)
+            .with_sched(opts.sched);
         let cfg = SimConfig {
             scan_batch: 32 * 1024,
             ..cfg

@@ -45,7 +45,9 @@ pub fn fig9(opts: &ExpOptions) -> SeriesSet {
     let reports = opts.runner().run(runs.clone(), |(ai, den, policy)| {
         let cfg = SimConfig::paper_default()
             .with_capacity_ratio(1, den)
-            .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched);
+            .with_seed(opts.seed)
+            .with_audit(opts.audit)
+            .with_sched(opts.sched);
         run_app(&cfg, policy, specs[ai].clone())
     });
     let mut slow = None;
@@ -85,7 +87,9 @@ pub fn fig10(opts: &ExpOptions) -> SeriesSet {
     let reports = opts.runner().run(runs.clone(), |(ai, policy)| {
         let cfg = SimConfig::paper_default()
             .with_capacity_ratio(1, 8)
-            .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched);
+            .with_seed(opts.seed)
+            .with_audit(opts.audit)
+            .with_sched(opts.sched);
         run_app(&cfg, policy, specs[ai].clone())
     });
     for (&(ai, policy), r) in runs.iter().zip(&reports) {

@@ -34,7 +34,9 @@ fn sweep(opts: &ExpOptions, llc: LlcModel, include_remote: bool, title: &str) ->
         let cfg = SimConfig::paper_default()
             .with_capacity_ratio(1, 4)
             .with_llc(llc)
-            .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched);
+            .with_seed(opts.seed)
+            .with_audit(opts.audit)
+            .with_sched(opts.sched);
         match throttle {
             None => run_app(&cfg, Policy::FastMemOnly, specs[ai].clone()),
             Some(t) => run_app(

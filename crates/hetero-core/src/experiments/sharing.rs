@@ -53,13 +53,7 @@ pub fn paper_setups(opts: &ExpOptions) -> Vec<VmSetup> {
             2 * GB,
             7 * GB,
         ),
-        VmSetup::new(
-            opts.tune(metis_big()),
-            3 * GB,
-            5 * GB / 2,
-            4 * GB,
-            8 * GB,
-        ),
+        VmSetup::new(opts.tune(metis_big()), 3 * GB, 5 * GB / 2, 4 * GB, 8 * GB),
     ]
 }
 
@@ -67,7 +61,9 @@ fn host_cfg(opts: &ExpOptions) -> SimConfig {
     SimConfig::paper_default()
         .with_fast_bytes(4 * GB)
         .with_slow_bytes(8 * GB)
-        .with_seed(opts.seed).with_audit(opts.audit).with_sched(opts.sched)
+        .with_seed(opts.seed)
+        .with_audit(opts.audit)
+        .with_sched(opts.sched)
 }
 
 /// Per-VM SlowMem-only baseline: the VM alone on the host.

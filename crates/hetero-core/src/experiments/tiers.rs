@@ -83,7 +83,11 @@ pub fn tiers_matrix(opts: &ExpOptions) -> SeriesSet {
     for (ti, cells) in rows.into_iter().enumerate() {
         for (policy, tracking, gain, scanned) in cells {
             set.record(&format!("{policy}/{tracking}"), ti as f64, gain);
-            set.record(&format!("{policy}/{tracking}/scanned-M"), ti as f64, scanned);
+            set.record(
+                &format!("{policy}/{tracking}/scanned-M"),
+                ti as f64,
+                scanned,
+            );
         }
     }
     set

@@ -46,8 +46,8 @@ pub use cluster::{
     MigrationPolicy, MigrationRecord,
 };
 pub use config::{SchedMode, SimConfig};
-pub use eventq::{EngineEvent, EventQueue};
 pub use engine::{run_app, SingleVmSim};
+pub use eventq::{EngineEvent, EventQueue};
 pub use hetero_faults::AuditLevel;
 pub use metrics::RunReport;
 pub use policy::{Policy, Tracking};

@@ -153,10 +153,7 @@ impl RunReport {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"policy\": {},\n", json_string(self.policy)));
         out.push_str(&format!("  \"app\": {},\n", json_string(self.app)));
-        out.push_str(&format!(
-            "  \"runtime_ns\": {},\n",
-            self.runtime.as_nanos()
-        ));
+        out.push_str(&format!("  \"runtime_ns\": {},\n", self.runtime.as_nanos()));
         out.push_str("  \"breakdown_ns\": {");
         for (i, (cat, t)) in self.breakdown.iter().enumerate() {
             if i > 0 {
@@ -199,7 +196,6 @@ impl RunReport {
         out
     }
 }
-
 
 hetero_sim::impl_snap!(struct RunReport {
     policy,

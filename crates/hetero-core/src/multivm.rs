@@ -599,7 +599,6 @@ impl MultiVmSim {
     }
 }
 
-
 impl MultiVmSim {
     /// One scheduling step of the fleet: advances the live VM furthest
     /// behind in simulated time (ties to the lowest index) by one epoch —
@@ -830,7 +829,11 @@ mod tests {
         let seq = boot(1);
         let par = boot(4);
         for (a, b) in seq.iter().zip(par.iter()) {
-            assert_eq!(a.to_json(), b.to_json(), "thread count must not perturb the fleet");
+            assert_eq!(
+                a.to_json(),
+                b.to_json(),
+                "thread count must not perturb the fleet"
+            );
         }
     }
 
@@ -865,8 +868,7 @@ mod tests {
         let setups = vec![
             VmSetup::new(quick(apps::graphchi()), GB, 2 * GB, 2 * GB, 4 * GB)
                 .with_medium(GB / 2, GB),
-            VmSetup::new(quick(apps::metis()), GB, 2 * GB, 2 * GB, 4 * GB)
-                .with_medium(GB / 2, GB),
+            VmSetup::new(quick(apps::metis()), GB, 2 * GB, 2 * GB, 4 * GB).with_medium(GB / 2, GB),
         ];
         let mut sim = MultiVmSim::new(
             cfg,
@@ -876,12 +878,18 @@ mod tests {
         );
         let id = sim.core.vms[0].id;
         let min_med = sim.core.vms[0].min[MemKind::Medium];
-        assert!(min_med > 0, "three-tier setup must register a Medium minimum");
+        assert!(
+            min_med > 0,
+            "three-tier setup must register a Medium minimum"
+        );
         // Grow vm0's Medium grant above its reserved minimum through the
         // ledger path the fleet itself uses...
         sim.core.request_pages(0, MemKind::Medium, 64);
         let grown = sim.core.fair.allocated(id)[MemKind::Medium];
-        assert!(grown > min_med, "Medium grant must be growable ({grown} vs {min_med})");
+        assert!(
+            grown > min_med,
+            "Medium grant must be growable ({grown} vs {min_med})"
+        );
         // ...then finish it: the surplus must return to the free pool.
         sim.core.vms[0].done = true;
         sim.core.release_surplus(0);
@@ -892,7 +900,11 @@ mod tests {
         );
         let mut violations = Vec::new();
         sim.core.audit_ledger(&mut violations);
-        assert_eq!(violations, Vec::new(), "ledger must audit clean after release");
+        assert_eq!(
+            violations,
+            Vec::new(),
+            "ledger must audit clean after release"
+        );
     }
 
     /// A spec whose footprint is dominated by pinned slab objects: the
@@ -952,12 +964,7 @@ mod tests {
             GB,
             2 * GB,
         )];
-        let mut sim = MultiVmSim::new(
-            cfg,
-            SharePolicy::MaxMin,
-            Policy::HeteroCoordinated,
-            setups,
-        );
+        let mut sim = MultiVmSim::new(cfg, SharePolicy::MaxMin, Policy::HeteroCoordinated, setups);
         let mut violations = Vec::new();
         sim.core.drive_event(false, &mut violations);
         let vm = &sim.core.vms[0];
@@ -970,8 +977,7 @@ mod tests {
         // ownership on every tier.
         let alloc = sim.core.fair.allocated(vm.id);
         for k in grant_kinds() {
-            let owned =
-                vm.sim.kernel().total_frames(k) - vm.sim.kernel().ballooned_pages(k);
+            let owned = vm.sim.kernel().total_frames(k) - vm.sim.kernel().ballooned_pages(k);
             assert_eq!(alloc[k], owned, "ledger/kernel drift on {k}");
         }
         assert!(
@@ -979,6 +985,10 @@ mod tests {
             "the stranded residue should sit above the reserved minimum"
         );
         sim.core.audit_ledger(&mut violations);
-        assert_eq!(violations, Vec::new(), "short yield must not drift the audit");
+        assert_eq!(
+            violations,
+            Vec::new(),
+            "short yield must not drift the audit"
+        );
     }
 }

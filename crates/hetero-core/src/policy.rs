@@ -86,9 +86,7 @@ impl Policy {
             Policy::Random => "random heterogeneity-blind placement",
             Policy::NumaPreferred => "existing Linux preferred-NUMA-node policy",
             Policy::HeapOd => "on-demand heap allocation",
-            Policy::HeapIoSlabOd => {
-                "Heap-OD + IO page cache allocation + slab allocation"
-            }
+            Policy::HeapIoSlabOd => "Heap-OD + IO page cache allocation + slab allocation",
             Policy::HeteroLru => "Heap-IO-Slab-OD + HeteroOS-LRU",
             Policy::VmmExclusive => {
                 "guest-transparent VMM hotness-tracking and migration (HeteroVisor)"
@@ -184,7 +182,6 @@ hetero_sim::impl_snap!(enum Tracking {
     2 => Guided {},
     3 => AccessBit {},
 });
-
 
 hetero_sim::impl_snap!(enum Policy {
     0 => SlowMemOnly {},

@@ -334,9 +334,7 @@ fn checkpoint_under_armed_faults_resumes_identically() {
     // Checkpoint at two different depths — with storms armed at 40% per
     // step and storms lasting up to 8 epochs, at least one of these lands
     // inside an active storm window.
-    let (trace, _, _) = resume_under_faults("chaos", &build, |total| {
-        [total / 3, 2 * total / 3]
-    });
+    let (trace, _, _) = resume_under_faults("chaos", &build, |total| [total / 3, 2 * total / 3]);
     assert!(
         trace.contains("latency-storm"),
         "plan must actually fire storms:\n{trace}"
@@ -411,9 +409,16 @@ fn persistence_leg_resumes_identically_under_power_loss() {
             dom.dirty_frames() > 0 || policy == FlushPolicy::Eager,
             "{policy}: no dirty frames at the cut"
         );
-        assert!(dom.flushed_frames() > 0, "{policy}: no flushed frames at the cut");
+        assert!(
+            dom.flushed_frames() > 0,
+            "{policy}: no flushed frames at the cut"
+        );
         assert_eq!(fnv1a(&snap), snap_digest, "{policy}: snapshot digest moved");
-        assert_eq!(fnv1a(report.as_bytes()), report_digest, "{policy}: report digest moved");
+        assert_eq!(
+            fnv1a(report.as_bytes()),
+            report_digest,
+            "{policy}: report digest moved"
+        );
     }
 }
 
@@ -706,7 +711,11 @@ fn scan_pipeline_matches_recorded_digests() {
             }
         }
     }
-    assert!(moved.is_empty(), "scan digests moved:\n{}", moved.join("\n"));
+    assert!(
+        moved.is_empty(),
+        "scan digests moved:\n{}",
+        moved.join("\n")
+    );
     assert!(unreached.is_empty(), "{}", unreached.join("\n"));
 }
 
@@ -1022,7 +1031,10 @@ fn wrong_layer_snapshot_is_rejected_cleanly() {
 
     let err = must_fail(Cluster::restore(&fleet_bytes, 1), "fleet bytes as cluster");
     assert!(err.to_string().contains("layer"), "{err}");
-    let err = must_fail(SingleVmSim::restore(&fleet_bytes), "fleet bytes as single VM");
+    let err = must_fail(
+        SingleVmSim::restore(&fleet_bytes),
+        "fleet bytes as single VM",
+    );
     assert!(err.to_string().contains("layer"), "{err}");
 }
 

@@ -85,11 +85,7 @@ fn migration_trace_spec() -> ClusterSpec {
                 8 * GB,
             ),
         ],
-        arrivals: ArrivalProcess::Trace(vec![
-            (Nanos::ZERO, 1),
-            (Nanos::ZERO, 0),
-            (Nanos::ZERO, 0),
-        ]),
+        arrivals: ArrivalProcess::Trace(vec![(Nanos::ZERO, 1), (Nanos::ZERO, 0), (Nanos::ZERO, 0)]),
         quantum: Nanos::from_millis(100),
         migration: MigrationPolicy {
             imbalance_threshold: 0.10,
@@ -178,7 +174,10 @@ fn chaos_fleet_with_faults_armed_is_byte_identical_across_jobs() {
         let par = chaotic(0.05, 4, seed);
         assert_eq!(seq, par, "seed {seed}: chaos diverged across jobs");
         let calm = chaotic(0.0, 1, seed);
-        assert_ne!(seq, calm, "seed {seed}: faults never fired — soak is vacuous");
+        assert_ne!(
+            seq, calm,
+            "seed {seed}: faults never fired — soak is vacuous"
+        );
     }
 }
 

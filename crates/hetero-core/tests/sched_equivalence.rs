@@ -112,7 +112,11 @@ fn tier_profile_matrix_is_byte_identical() {
     type Leg<'a> = (&'a str, &'a dyn Fn(u64, SchedMode) -> SimConfig, Policy);
     let legs: [Leg; 3] = [
         ("three-tier", &three_tier, Policy::HeteroCoordinated),
-        ("optane-dc/access-bit", &optane_ad, Policy::HeteroCoordinated),
+        (
+            "optane-dc/access-bit",
+            &optane_ad,
+            Policy::HeteroCoordinated,
+        ),
         ("optane-dc/access-bit-lru", &optane_ad, Policy::HeteroLru),
     ];
     for (name, cfg, policy) in legs {
@@ -152,7 +156,10 @@ fn chaos_soak_with_faults_armed_is_byte_identical() {
         };
         let (dense_crashes, dense) = run(SchedMode::Dense);
         let (event_crashes, event) = run(SchedMode::Event);
-        assert!(dense_crashes > 0, "seed {seed} never crashed — soak is vacuous");
+        assert!(
+            dense_crashes > 0,
+            "seed {seed} never crashed — soak is vacuous"
+        );
         assert_eq!(dense_crashes, event_crashes, "seed {seed} crash cycles");
         assert_eq!(dense, event, "seed {seed} diverged");
     }

@@ -695,8 +695,9 @@ pub fn audit_vmm(vmm: &Vmm, guests: &[(GuestId, &GuestKernel)]) -> Vec<Violation
         }
         for &(id, kernel) in guests {
             let Ok(g) = vmm.granted(id) else { continue };
-            let kernel_owned =
-                kernel.total_frames(kind).saturating_sub(kernel.ballooned_pages(kind));
+            let kernel_owned = kernel
+                .total_frames(kind)
+                .saturating_sub(kernel.ballooned_pages(kind));
             if g[kind] != kernel_owned {
                 out.push(Violation::GuestViewMismatch {
                     guest: id,

@@ -258,9 +258,15 @@ impl FaultInjector {
         if self.rng.chance(self.plan.latency_storm) {
             let span = (self.plan.storm_max_factor - 1.0).max(0.0);
             let factor = 1.0 + self.rng.next_f64() * span;
-            let epochs = self.rng.next_range(1, u64::from(self.plan.storm_max_epochs) + 1) as u32;
+            let epochs = self
+                .rng
+                .next_range(1, u64::from(self.plan.storm_max_epochs) + 1)
+                as u32;
             self.storm = Some((factor, epochs));
-            self.record(FaultSite::Throttle, FaultKind::LatencyStorm { factor, epochs });
+            self.record(
+                FaultSite::Throttle,
+                FaultKind::LatencyStorm { factor, epochs },
+            );
             factor
         } else {
             1.0
@@ -315,7 +321,9 @@ impl FaultInjector {
             return true;
         }
         if self.rng.chance(self.plan.kswapd_stall) {
-            let steps = self.rng.next_range(1, u64::from(self.plan.stall_max_steps) + 1) as u32;
+            let steps =
+                self.rng
+                    .next_range(1, u64::from(self.plan.stall_max_steps) + 1) as u32;
             self.stall_left = steps;
             self.record(FaultSite::Kswapd, FaultKind::KswapdStall { steps });
             true
@@ -352,7 +360,9 @@ impl FaultInjector {
             return RingAction::Drop;
         }
         if self.rng.chance(self.plan.ring_delay) {
-            let ticks = self.rng.next_range(1, u64::from(self.plan.delay_max_ticks) + 1) as u32;
+            let ticks =
+                self.rng
+                    .next_range(1, u64::from(self.plan.delay_max_ticks) + 1) as u32;
             self.record(site, FaultKind::RingDelay { ticks });
             return RingAction::Delay(ticks);
         }

@@ -338,10 +338,16 @@ impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlanError::Probability { field, value } => {
-                write!(f, "fault plan: {field} = {value} is not a probability in [0, 1]")
+                write!(
+                    f,
+                    "fault plan: {field} = {value} is not a probability in [0, 1]"
+                )
             }
             PlanError::ZeroBound { field } => {
-                write!(f, "fault plan: {field} must be >= 1 (durations are drawn from 1..=bound)")
+                write!(
+                    f,
+                    "fault plan: {field} must be >= 1 (durations are drawn from 1..=bound)"
+                )
             }
             PlanError::Factor { field, value } => {
                 write!(f, "fault plan: {field} = {value} must be finite and >= 1")
@@ -430,7 +436,10 @@ mod tests {
         p.ring_drop = -0.25;
         assert!(matches!(
             p.validate(),
-            Err(PlanError::Probability { field: "ring_drop", .. })
+            Err(PlanError::Probability {
+                field: "ring_drop",
+                ..
+            })
         ));
         p.ring_drop = f64::NAN;
         assert!(p.validate().is_err());
@@ -487,7 +496,9 @@ mod tests {
             value: 2.0,
         };
         assert!(e.to_string().contains("guest_crash"));
-        assert!(PlanError::ZeroBound { field: "x" }.to_string().contains(">= 1"));
+        assert!(PlanError::ZeroBound { field: "x" }
+            .to_string()
+            .contains(">= 1"));
     }
 
     #[test]
@@ -501,7 +512,10 @@ mod tests {
             .to_string(),
             "latency-storm(x2.50,3ep)"
         );
-        assert_eq!(FaultKind::RingDelay { ticks: 2 }.to_string(), "ring-delay(2)");
+        assert_eq!(
+            FaultKind::RingDelay { ticks: 2 }.to_string(),
+            "ring-delay(2)"
+        );
         assert_eq!(FaultKind::HostPowerLoss.to_string(), "host-power-loss");
         assert_eq!(
             FaultKind::GuestCrashPersist.to_string(),

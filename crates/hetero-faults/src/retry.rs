@@ -124,7 +124,13 @@ mod tests {
         let r = retry_with_backoff(
             &Backoff::channel_default(),
             &mut clock,
-            || if ok_after.get() == 0 { Ok(()) } else { Err("busy") },
+            || {
+                if ok_after.get() == 0 {
+                    Ok(())
+                } else {
+                    Err("busy")
+                }
+            },
             || ok_after.set(ok_after.get() - 1),
         );
         assert_eq!(r, Ok(((), 4)));

@@ -370,8 +370,9 @@ pub fn audit_fair_share(
         let granted = fair.allocated(id);
         for &kind in MemKind::ALL.iter() {
             granted_sum[kind] += granted[kind];
-            let kernel_owned =
-                kernel.total_frames(kind).saturating_sub(kernel.ballooned_pages(kind));
+            let kernel_owned = kernel
+                .total_frames(kind)
+                .saturating_sub(kernel.ballooned_pages(kind));
             if granted[kind] != kernel_owned {
                 out.push(Violation::GuestViewMismatch {
                     guest: id,

@@ -133,7 +133,9 @@ impl OrderBits {
     fn any_in(&self, first: u64, count: u64) -> bool {
         let w = (first >> 6) as usize;
         if count >= 64 {
-            self.words[w..w + (count >> 6) as usize].iter().any(|&x| x != 0)
+            self.words[w..w + (count >> 6) as usize]
+                .iter()
+                .any(|&x| x != 0)
         } else {
             let mask = ((1u64 << count) - 1) << (first & 63);
             self.words[w] & mask != 0

@@ -389,9 +389,7 @@ impl GuestKernel {
                     {
                         self.lru.insert_active(&mut self.mm, gfn)
                     }
-                    Some(crate::lru::LruClass::File) => {
-                        self.lru.insert_inactive(&mut self.mm, gfn)
-                    }
+                    Some(crate::lru::LruClass::File) => self.lru.insert_inactive(&mut self.mm, gfn),
                     None => {}
                 }
                 self.stats
@@ -517,17 +515,29 @@ impl GuestKernel {
                     page_type: PageType::HeapAnon,
                 });
             };
-            let list = self.lru.fresh_list_mut(kind, crate::lru::LruClass::Anon, true);
+            let list = self
+                .lru
+                .fresh_list_mut(kind, crate::lru::LruClass::Anon, true);
             let next = list.peek_front();
-            self.mm
-                .set_allocated_linked(gfn, PageType::HeapAnon, heat, true, next, RMap::Anon(vpn));
+            self.mm.set_allocated_linked(
+                gfn,
+                PageType::HeapAnon,
+                heat,
+                true,
+                next,
+                RMap::Anon(vpn),
+            );
             list.push_front_prelinked(&mut self.mm, gfn);
             placed[kind] += 1;
             out.push(gfn);
         }
         self.lru.note_fresh_inserts(true, pages);
-        self.stats
-            .record_run(PageType::HeapAnon, wanted_fast, placed[MemKind::Fast], pages);
+        self.stats.record_run(
+            PageType::HeapAnon,
+            wanted_fast,
+            placed[MemKind::Fast],
+            pages,
+        );
         self.pt.map_range(vma.start, out);
         self.sync_pagetable_pages(preference);
         Ok((vma, placed))
@@ -582,7 +592,8 @@ impl GuestKernel {
             self.lru.activate(&mut self.mm, gfn);
             return Ok((gfn, true));
         }
-        let gfn = self.file_page_in_fresh(PageType::PageCache, file, offset_page, heat, preference)?;
+        let gfn =
+            self.file_page_in_fresh(PageType::PageCache, file, offset_page, heat, preference)?;
         Ok((gfn, false))
     }
 
@@ -610,7 +621,9 @@ impl GuestKernel {
             self.stats.record(page_type, wanted_fast, false);
             return Err(AllocFailed { page_type });
         };
-        let list = self.lru.fresh_list_mut(kind, crate::lru::LruClass::File, true);
+        let list = self
+            .lru
+            .fresh_list_mut(kind, crate::lru::LruClass::File, true);
         let next = list.peek_front();
         self.mm.set_allocated_linked(
             gfn,
@@ -622,7 +635,8 @@ impl GuestKernel {
         );
         list.push_front_prelinked(&mut self.mm, gfn);
         self.lru.note_fresh_faulted(1);
-        self.stats.record(page_type, wanted_fast, kind == MemKind::Fast);
+        self.stats
+            .record(page_type, wanted_fast, kind == MemKind::Fast);
         self.cache.insert(file, offset_page, gfn);
         Ok(gfn)
     }
@@ -1004,9 +1018,7 @@ impl GuestKernel {
     /// [`MigrateError::AlreadyThere`] or [`MigrateError::TargetFull`].
     pub fn migrate_page_forced(&mut self, gfn: Gfn, target: MemKind) -> Result<Gfn, MigrateError> {
         match self.can_migrate(gfn, target) {
-            Ok(())
-            | Err(MigrateError::MarkedForReclaim)
-            | Err(MigrateError::DirtyIo) => {}
+            Ok(()) | Err(MigrateError::MarkedForReclaim) | Err(MigrateError::DirtyIo) => {}
             Err(e) => return Err(e),
         }
         // Temporarily clear the states the VMM cannot see, migrate, restore.
@@ -1322,7 +1334,9 @@ impl GuestKernel {
     pub fn swap_in_any(&mut self, n: u64, preference: &[MemKind]) -> u64 {
         let mut brought = 0;
         for _ in 0..n {
-            let Some(vpn) = self.swap.any_vpn() else { break };
+            let Some(vpn) = self.swap.any_vpn() else {
+                break;
+            };
             if self.swap_in(vpn, preference).is_none() {
                 break;
             }
@@ -1867,10 +1881,7 @@ mod tests {
     #[test]
     fn alloc_failure_is_reported_and_counted() {
         let mut k = small_kernel();
-        while k
-            .alloc_page(PageType::Slab, 1, &[MemKind::Fast])
-            .is_ok()
-        {}
+        while k.alloc_page(PageType::Slab, 1, &[MemKind::Fast]).is_ok() {}
         let err = k
             .alloc_page(PageType::Slab, 1, &[MemKind::Fast])
             .unwrap_err();
@@ -1904,8 +1915,14 @@ mod tests {
                 let _ = scalar.slab_alloc(SlabClass::FsMeta, 224, &pref);
                 let _ = scalar.slab_alloc(SlabClass::Skbuff, 224, &pref);
             }
-            assert_eq!(bulk.slab_alloc_bulk(SlabClass::FsMeta, allocs, 224, &pref), allocs);
-            assert_eq!(bulk.slab_alloc_bulk(SlabClass::Skbuff, allocs, 224, &pref), allocs);
+            assert_eq!(
+                bulk.slab_alloc_bulk(SlabClass::FsMeta, allocs, 224, &pref),
+                allocs
+            );
+            assert_eq!(
+                bulk.slab_alloc_bulk(SlabClass::Skbuff, allocs, 224, &pref),
+                allocs
+            );
             let frees = 25 + round * 11;
             let mut got = 0;
             for _ in 0..frees {
@@ -1965,11 +1982,17 @@ mod tests {
         let n = 40 * 16;
         let mut ok = 0;
         for _ in 0..n {
-            if scalar.slab_alloc(SlabClass::FsMeta, 224, &[MemKind::Fast]).is_ok() {
+            if scalar
+                .slab_alloc(SlabClass::FsMeta, 224, &[MemKind::Fast])
+                .is_ok()
+            {
                 ok += 1;
             }
         }
-        assert_eq!(bulk.slab_alloc_bulk(SlabClass::FsMeta, n, 224, &[MemKind::Fast]), ok);
+        assert_eq!(
+            bulk.slab_alloc_bulk(SlabClass::FsMeta, n, 224, &[MemKind::Fast]),
+            ok
+        );
         assert!(ok < n, "exhaustion must actually occur");
         assert_eq!(encoded(&bulk), encoded(&scalar));
     }
@@ -2249,10 +2272,20 @@ mod tests {
             let (gfn, _) = k.page_in(FileId(3), i, 20, &[MemKind::Fast]).unwrap();
             k.io_complete(gfn);
         }
-        assert_eq!(k.memmap().residency(PageType::PageCache, MemKind::Fast).pages, 8);
+        assert_eq!(
+            k.memmap()
+                .residency(PageType::PageCache, MemKind::Fast)
+                .pages,
+            8
+        );
         let moved = k.demote_inactive(MemKind::Fast, 5);
         assert_eq!(moved, 5);
-        assert_eq!(k.memmap().residency(PageType::PageCache, MemKind::Slow).pages, 5);
+        assert_eq!(
+            k.memmap()
+                .residency(PageType::PageCache, MemKind::Slow)
+                .pages,
+            5
+        );
         assert_eq!(k.migrations, 5);
     }
 
@@ -2273,7 +2306,10 @@ mod tests {
             assert_eq!(k.memmap().kind_of(gfn), kind);
         }
         // Fallback cascade walks all three tiers.
-        while k.alloc_page(PageType::HeapAnon, 1, &[MemKind::Fast]).is_ok() {}
+        while k
+            .alloc_page(PageType::HeapAnon, 1, &[MemKind::Fast])
+            .is_ok()
+        {}
         let (_, got) = k
             .alloc_page(
                 PageType::HeapAnon,
@@ -2307,15 +2343,21 @@ mod tests {
         // §4.3: anon pages stepped one level (Medium); I/O pages went to
         // the slowest tier directly.
         assert_eq!(
-            k.memmap().residency(PageType::HeapAnon, MemKind::Medium).pages,
+            k.memmap()
+                .residency(PageType::HeapAnon, MemKind::Medium)
+                .pages,
             8
         );
         assert_eq!(
-            k.memmap().residency(PageType::PageCache, MemKind::Slow).pages,
+            k.memmap()
+                .residency(PageType::PageCache, MemKind::Slow)
+                .pages,
             8
         );
         assert_eq!(
-            k.memmap().residency(PageType::PageCache, MemKind::Medium).pages,
+            k.memmap()
+                .residency(PageType::PageCache, MemKind::Medium)
+                .pages,
             0
         );
     }
@@ -2330,7 +2372,9 @@ mod tests {
         let moved = k.demote_inactive_typed(MemKind::Fast, 6);
         assert_eq!(moved, 6);
         assert_eq!(
-            k.memmap().residency(PageType::PageCache, MemKind::Slow).pages,
+            k.memmap()
+                .residency(PageType::PageCache, MemKind::Slow)
+                .pages,
             6
         );
     }
@@ -2545,7 +2589,8 @@ mod tests {
     fn slab_free_any_releases_pages_eventually() {
         let mut k = small_kernel();
         for _ in 0..16 {
-            k.slab_alloc(SlabClass::Skbuff, 30, &[MemKind::Fast]).unwrap();
+            k.slab_alloc(SlabClass::Skbuff, 30, &[MemKind::Fast])
+                .unwrap();
         }
         assert_eq!(k.slab_objects(SlabClass::Skbuff), 16);
         for _ in 0..16 {
@@ -2581,9 +2626,7 @@ mod tests {
     #[test]
     fn swap_out_in_roundtrip_preserves_state() {
         let mut k = small_kernel();
-        let (vma, _) = k
-            .mmap_heap(4, vec![200u8; 4], &[MemKind::Fast])
-            .unwrap();
+        let (vma, _) = k.mmap_heap(4, vec![200u8; 4], &[MemKind::Fast]).unwrap();
         let vpn = vma.start;
         let gfn = k.page_table().translate(vpn).unwrap();
         k.set_page_write_heat(gfn, 150);
@@ -2616,9 +2659,7 @@ mod tests {
     #[test]
     fn munmap_discards_swap_slots() {
         let mut k = small_kernel();
-        let (vma, _) = k
-            .mmap_heap(4, vec![100u8; 4], &[MemKind::Fast])
-            .unwrap();
+        let (vma, _) = k.mmap_heap(4, vec![100u8; 4], &[MemKind::Fast]).unwrap();
         for vpn in vma.start..vma.end() {
             let gfn = k.page_table().translate(vpn).unwrap();
             assert!(k.swap_out(gfn));
@@ -2638,9 +2679,7 @@ mod tests {
             cpus: 1,
             page_size: 4096,
         });
-        let (vma, _) = k
-            .mmap_heap(8, vec![100u8; 8], &[MemKind::Fast])
-            .unwrap();
+        let (vma, _) = k.mmap_heap(8, vec![100u8; 8], &[MemKind::Fast]).unwrap();
         for vpn in vma.start..vma.end() {
             let gfn = k.page_table().translate(vpn).unwrap();
             k.swap_out(gfn);
@@ -2660,7 +2699,10 @@ mod tests {
         let (gfn, _) = k.page_in(FileId(1), 0, 10, &[MemKind::Fast]).unwrap();
         k.mark_dirty(gfn);
         // The guest-checked path refuses; the VMM path migrates anyway.
-        assert_eq!(k.migrate_page(gfn, MemKind::Slow), Err(MigrateError::DirtyIo));
+        assert_eq!(
+            k.migrate_page(gfn, MemKind::Slow),
+            Err(MigrateError::DirtyIo)
+        );
         let new = k.migrate_page_forced(gfn, MemKind::Slow).unwrap();
         assert!(k.memmap().page(new).flags.contains(PageFlags::DIRTY));
         assert_eq!(k.memmap().kind_of(new), MemKind::Slow);

@@ -48,8 +48,7 @@ impl Watermarks {
             "pressure factor must be positive"
         );
         assert!(total_pages > 0, "a node needs at least one page");
-        let min = ((total_pages as f64 * 0.004 * pressure_factor) as u64)
-            .clamp(1, total_pages);
+        let min = ((total_pages as f64 * 0.004 * pressure_factor) as u64).clamp(1, total_pages);
         Watermarks {
             min,
             low: (min + min / 4).min(total_pages),
@@ -156,10 +155,7 @@ impl Kswapd {
 
     /// Balances every configured tier; returns total pages reclaimed.
     pub fn balance_all(&mut self, kernel: &mut GuestKernel) -> u64 {
-        MemKind::ALL
-            .iter()
-            .map(|&k| self.balance(kernel, k))
-            .sum()
+        MemKind::ALL.iter().map(|&k| self.balance(kernel, k)).sum()
     }
 }
 

@@ -359,8 +359,7 @@ impl MemMap {
             let old = p.heat;
             p.heat = heat;
             if p.flags.contains(PageFlags::ACTIVE) {
-                let crossed =
-                    self.ledger.is_cold(heat) as i64 - self.ledger.is_cold(old) as i64;
+                let crossed = self.ledger.is_cold(heat) as i64 - self.ledger.is_cold(old) as i64;
                 if crossed != 0 {
                     self.ledger.adjust(p.kind, crossed);
                 }
@@ -614,7 +613,10 @@ pub(crate) mod tests {
         assert_eq!(m.resident_pages(PageType::Slab), 2);
         assert_eq!(m.resident_on(MemKind::Fast), 1);
         m.set_free(Gfn(1));
-        assert_eq!(m.residency(PageType::Slab, MemKind::Fast), Residency::default());
+        assert_eq!(
+            m.residency(PageType::Slab, MemKind::Fast),
+            Residency::default()
+        );
         assert_eq!(m.resident_pages(PageType::Slab), 1);
     }
 
@@ -654,7 +656,11 @@ pub(crate) mod tests {
         m.configure_cold_ledger(48);
         m.set_allocated(Gfn(0), PageType::HeapAnon, 100);
         m.set_allocated(Gfn(1), PageType::HeapAnon, 10);
-        assert_eq!(m.cold_active(MemKind::Fast), 0, "allocation is not activation");
+        assert_eq!(
+            m.cold_active(MemKind::Fast),
+            0,
+            "allocation is not activation"
+        );
         m.set_active(Gfn(0), true); // hot-active: not cold
         m.set_active(Gfn(1), true); // cold-active
         assert_eq!(m.cold_active(MemKind::Fast), 1);
@@ -703,7 +709,11 @@ pub(crate) mod tests {
         for k in MemKind::ALL {
             assert_eq!(recount[k], m.cold_active(k), "{k}");
         }
-        assert_eq!(m.cold_active(MemKind::Fast), 3, "heats 3, 10, 47 active-cold");
+        assert_eq!(
+            m.cold_active(MemKind::Fast),
+            3,
+            "heats 3, 10, 47 active-cold"
+        );
     }
 
     /// 64-bit FNV-1a digest of `bytes`.
@@ -733,7 +743,14 @@ pub(crate) mod tests {
         link(&mut m, 1, PageType::HeapAnon, 10, true, RMap::Anon(0x41));
         link(&mut m, 5, PageType::HeapAnon, 90, true, RMap::Anon(0x45));
         link(&mut m, 2, PageType::PageCache, 30, false, RMap::File(3, 7));
-        link(&mut m, 10, PageType::BufferCache, 60, false, RMap::File(4, 8));
+        link(
+            &mut m,
+            10,
+            PageType::BufferCache,
+            60,
+            false,
+            RMap::File(4, 8),
+        );
         link(&mut m, 11, PageType::PageCache, 20, false, RMap::File(3, 9));
         m.set_write_heat(Gfn(5), 17);
         m.set_heat(Gfn(1), 70);
@@ -751,11 +768,19 @@ pub(crate) mod tests {
         m.snap(&mut w);
         let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 924);
-        assert_eq!(fnv1a(&bytes), 0x23a5_57bd_596d_74db, "memmap wire format moved");
+        assert_eq!(
+            fnv1a(&bytes),
+            0x23a5_57bd_596d_74db,
+            "memmap wire format moved"
+        );
         let back = MemMap::unsnap(&mut SnapReader::new(&bytes)).unwrap();
         let mut again = SnapWriter::new();
         back.snap(&mut again);
-        assert_eq!(again.into_bytes(), bytes, "decode + encode is not the identity");
+        assert_eq!(
+            again.into_bytes(),
+            bytes,
+            "decode + encode is not the identity"
+        );
     }
 
     /// Each tag and presence byte of a memmap encoding, paired with the

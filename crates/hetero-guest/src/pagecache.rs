@@ -163,11 +163,7 @@ impl PageCache {
 
     /// Inserts a page, returning any page it displaced.
     pub fn insert(&mut self, file: FileId, offset_page: u64, gfn: Gfn) -> Option<Gfn> {
-        let prev = self
-            .files
-            .entry(file.0)
-            .or_default()
-            .set(offset_page, gfn);
+        let prev = self.files.entry(file.0).or_default().set(offset_page, gfn);
         if prev.is_none() {
             self.total += 1;
         }

@@ -181,7 +181,10 @@ impl PageTable {
             return;
         }
         let end = start + gfns.len() as u64;
-        assert!(end <= VPN_LIMIT, "vpn range {start:#x}..{end:#x} out of range");
+        assert!(
+            end <= VPN_LIMIT,
+            "vpn range {start:#x}..{end:#x} out of range"
+        );
         let mut i = 0usize;
         while i < gfns.len() {
             let vpn = start + i as u64;

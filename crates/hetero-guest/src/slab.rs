@@ -475,11 +475,17 @@ mod tests {
             }
             left -= freed;
         }
-        assert_eq!(scalar_events, bulk_events, "same pages empty at same points");
+        assert_eq!(
+            scalar_events, bulk_events,
+            "same pages empty at same points"
+        );
         assert_eq!(scalar.objects(), bulk.objects());
         assert_eq!(scalar.pages(), bulk.pages());
         // Both drain to empty identically.
-        assert_eq!(scalar.free_any_object(), bulk.free_any_chunk(1).map(|(_, p)| p));
+        assert_eq!(
+            scalar.free_any_object(),
+            bulk.free_any_chunk(1).map(|(_, p)| p)
+        );
         assert!(bulk.free_any_chunk(1).is_none());
         assert!(scalar.free_any_object().is_none());
     }

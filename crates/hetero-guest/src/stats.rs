@@ -85,7 +85,13 @@ impl AllocStats {
     /// Batched [`AllocStats::record`]: `total` same-type requests with one
     /// shared `wanted_fast`, of which `got_fast` landed on FastMem.
     /// Equivalent to `total` scalar calls.
-    pub fn record_run(&mut self, page_type: PageType, wanted_fast: bool, got_fast: u64, total: u64) {
+    pub fn record_run(
+        &mut self,
+        page_type: PageType,
+        wanted_fast: bool,
+        got_fast: u64,
+        total: u64,
+    ) {
         for c in [
             &mut self.window[page_type.index()],
             &mut self.cumulative[page_type.index()],

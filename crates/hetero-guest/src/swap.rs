@@ -136,7 +136,13 @@ mod tests {
     fn insert_remove_roundtrip() {
         let mut s = SwapMap::new();
         assert!(s.is_empty());
-        s.insert(10, SwapEntry { heat: 7, write_heat: 3 });
+        s.insert(
+            10,
+            SwapEntry {
+                heat: 7,
+                write_heat: 3,
+            },
+        );
         assert!(s.contains(10));
         assert_eq!(s.len(), 1);
         assert_eq!(s.total_heat(), 7);
@@ -150,7 +156,13 @@ mod tests {
     fn discard_range_drops_only_covered_slots() {
         let mut s = SwapMap::new();
         for vpn in [5u64, 6, 7, 20] {
-            s.insert(vpn, SwapEntry { heat: 1, write_heat: 0 });
+            s.insert(
+                vpn,
+                SwapEntry {
+                    heat: 1,
+                    write_heat: 0,
+                },
+            );
         }
         assert_eq!(s.discard_range(5, 3), 3);
         assert_eq!(s.len(), 1);
@@ -162,7 +174,13 @@ mod tests {
     fn any_vpn_finds_an_entry() {
         let mut s = SwapMap::new();
         assert_eq!(s.any_vpn(), None);
-        s.insert(99, SwapEntry { heat: 1, write_heat: 1 });
+        s.insert(
+            99,
+            SwapEntry {
+                heat: 1,
+                write_heat: 1,
+            },
+        );
         assert_eq!(s.any_vpn(), Some(99));
     }
 
@@ -170,7 +188,19 @@ mod tests {
     #[should_panic(expected = "already on swap")]
     fn double_swap_out_panics() {
         let mut s = SwapMap::new();
-        s.insert(1, SwapEntry { heat: 1, write_heat: 0 });
-        s.insert(1, SwapEntry { heat: 2, write_heat: 0 });
+        s.insert(
+            1,
+            SwapEntry {
+                heat: 1,
+                write_heat: 0,
+            },
+        );
+        s.insert(
+            1,
+            SwapEntry {
+                heat: 2,
+                write_heat: 0,
+            },
+        );
     }
 }

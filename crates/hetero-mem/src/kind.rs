@@ -141,7 +141,9 @@ impl<T> KindMap<T> {
 
     /// Iterates `(kind, &value)` fastest-first.
     pub fn iter(&self) -> impl Iterator<Item = (MemKind, &T)> {
-        MemKind::ALL.iter().map(move |&k| (k, &self.values[k.tier() as usize]))
+        MemKind::ALL
+            .iter()
+            .map(move |&k| (k, &self.values[k.tier() as usize]))
     }
 }
 

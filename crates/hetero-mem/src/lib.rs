@@ -53,13 +53,13 @@ pub mod throttle;
 pub mod tier;
 
 pub use cost::{CostModel, MigrationBatch};
-pub use heatgen::ColdLedger;
-pub use persist::{FlushPolicy, PersistDomain};
 pub use frames::{FramePool, Mfn};
+pub use heatgen::ColdLedger;
 pub use kind::{MemKind, NodeId};
 pub use llc::LlcModel;
 pub use machine::{MachineMemory, MachineMemoryBuilder};
 pub use node::NodeParams;
+pub use persist::{FlushPolicy, PersistDomain};
 pub use tech::TechProfile;
 pub use throttle::ThrottleConfig;
 pub use tier::{NodeSpec, TierProfile, TierSpec};

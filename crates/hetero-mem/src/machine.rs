@@ -207,9 +207,7 @@ impl MachineMemoryBuilder {
         let mut base = 0u64;
         for (i, (kind, cap, throttle)) in tiers.into_iter().enumerate() {
             assert!(
-                nodes
-                    .iter()
-                    .all(|n: &Node| n.params.kind != kind),
+                nodes.iter().all(|n: &Node| n.params.kind != kind),
                 "duplicate {kind} tier"
             );
             let params = NodeParams::new(kind, cap, throttle);

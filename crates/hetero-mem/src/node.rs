@@ -166,7 +166,11 @@ mod tests {
         assert_eq!(n.load_latency, Nanos::from_nanos(700));
         assert_eq!(n.store_latency, Nanos::from_nanos(1_400));
         // And the Table 3 (L:5, B:12) anchor: 960 ns load → 1920 ns store.
-        let a = NodeParams::nvm_like(MemKind::Slow, 1 << 30, ThrottleConfig::from_factors(5.0, 12.0));
+        let a = NodeParams::nvm_like(
+            MemKind::Slow,
+            1 << 30,
+            ThrottleConfig::from_factors(5.0, 12.0),
+        );
         assert_eq!(a.store_latency, Nanos::from_nanos(1_920));
     }
 

@@ -269,7 +269,9 @@ impl PersistDomain {
     fn lay_out(&mut self, base: u64, len: usize) {
         let mut states = vec![FrameState::Absent; len];
         for (frame, state) in self.entries() {
-            let index = frame.checked_sub(base).and_then(|i| usize::try_from(i).ok());
+            let index = frame
+                .checked_sub(base)
+                .and_then(|i| usize::try_from(i).ok());
             if let Some(slot) = index.and_then(|i| states.get_mut(i)) {
                 *slot = state;
             }
@@ -473,9 +475,17 @@ mod tests {
     #[test]
     fn epoch_batched_drains_on_the_interval() {
         let mut d = PersistDomain::new(FlushPolicy::EpochBatched);
-        assert_eq!(sweep(&mut d, 0, &[(9, true)]), 0, "no drain before the interval");
+        assert_eq!(
+            sweep(&mut d, 0, &[(9, true)]),
+            0,
+            "no drain before the interval"
+        );
         for e in 1..FLUSH_BATCH_EPOCHS - 1 {
-            assert_eq!(sweep(&mut d, e, &[(9, false)]), 0, "no drain before the interval");
+            assert_eq!(
+                sweep(&mut d, e, &[(9, false)]),
+                0,
+                "no drain before the interval"
+            );
         }
         assert_eq!(d.dirty_frames(), 1);
         assert_eq!(sweep(&mut d, FLUSH_BATCH_EPOCHS - 1, &[(9, false)]), 1);
@@ -500,7 +510,11 @@ mod tests {
         let mut d = PersistDomain::new(FlushPolicy::EpochBatched);
         sweep(&mut d, FLUSH_BATCH_EPOCHS - 1, &[(1, true), (2, true)]);
         // Frame 3 arrives after the drain: dirty at crash time.
-        sweep(&mut d, FLUSH_BATCH_EPOCHS, &[(1, false), (2, false), (3, true)]);
+        sweep(
+            &mut d,
+            FLUSH_BATCH_EPOCHS,
+            &[(1, false), (2, false), (3, true)],
+        );
         assert_eq!(d.survivors(true), vec![1, 2]);
         assert_eq!(d.torn_discards, 1);
         assert_eq!(d.tracked(), 0, "domain resets at crash");
@@ -571,7 +585,11 @@ mod tests {
             let mut next = Vec::new();
             let (mut drained, mut aged) = (0, 0);
             for &(frame, written) in resident {
-                let prior = self.states.iter().find(|&&(f, _)| f == frame).map(|&(_, s)| s);
+                let prior = self
+                    .states
+                    .iter()
+                    .find(|&&(f, _)| f == frame)
+                    .map(|&(_, s)| s);
                 let mut state = match prior {
                     Some(FrameState::Dirty { clean_epochs }) if !written => FrameState::Dirty {
                         clean_epochs: clean_epochs + 1,
@@ -600,14 +618,21 @@ mod tests {
         }
 
         fn dirty(&self) -> u64 {
-            let flushed = self.states.iter().filter(|(_, s)| *s == FrameState::Flushed);
+            let flushed = self
+                .states
+                .iter()
+                .filter(|(_, s)| *s == FrameState::Flushed);
             self.states.len() as u64 - flushed.count() as u64
         }
 
         fn survivors(&mut self, torn_lost: bool) -> Vec<u64> {
             let torn = |s: &FrameState| torn_lost && *s != FrameState::Flushed;
             self.counters[3] += self.states.iter().filter(|(_, s)| torn(s)).count() as u64;
-            let out = self.states.iter().filter(|(_, s)| !torn(s)).map(|&(f, _)| f);
+            let out = self
+                .states
+                .iter()
+                .filter(|(_, s)| !torn(s))
+                .map(|&(f, _)| f);
             let out = out.collect();
             self.states.clear();
             out
@@ -807,7 +832,10 @@ mod tests {
         for p in FlushPolicy::ALL {
             assert_eq!(p.to_string().parse::<FlushPolicy>().unwrap(), p);
         }
-        assert_eq!("epoch-batched".parse::<FlushPolicy>().unwrap(), FlushPolicy::EpochBatched);
+        assert_eq!(
+            "epoch-batched".parse::<FlushPolicy>().unwrap(),
+            FlushPolicy::EpochBatched
+        );
         assert!("warm".parse::<FlushPolicy>().is_err());
         assert!(!FlushPolicy::Off.is_enabled());
         assert!(FlushPolicy::OnEvict.is_enabled());

@@ -130,8 +130,11 @@ pub enum TierProfile {
 
 impl TierProfile {
     /// Every registered profile, in presentation order.
-    pub const ALL: [TierProfile; 3] =
-        [TierProfile::Table1Trio, TierProfile::OptaneDc, TierProfile::Cxl];
+    pub const ALL: [TierProfile; 3] = [
+        TierProfile::Table1Trio,
+        TierProfile::OptaneDc,
+        TierProfile::Cxl,
+    ];
 
     /// Registry name (what `--tier-profile` parses).
     pub fn name(self) -> &'static str {
@@ -223,7 +226,10 @@ mod tests {
             assert_eq!(p.name().parse::<TierProfile>().unwrap(), p);
             assert_eq!(p.to_string(), p.name());
         }
-        assert!("nope".parse::<TierProfile>().unwrap_err().contains("optane-dc"));
+        assert!("nope"
+            .parse::<TierProfile>()
+            .unwrap_err()
+            .contains("optane-dc"));
     }
 
     #[test]
@@ -232,7 +238,10 @@ mod tests {
         assert!(!TierProfile::OptaneDc.spec().is_three_tier());
         assert!(!TierProfile::Cxl.spec().is_three_tier());
         assert!(TierProfile::OptaneDc.spec().tier(MemKind::Medium).is_none());
-        assert!(TierProfile::Table1Trio.spec().tier(MemKind::Medium).is_some());
+        assert!(TierProfile::Table1Trio
+            .spec()
+            .tier(MemKind::Medium)
+            .is_some());
     }
 
     #[test]
@@ -248,8 +257,7 @@ mod tests {
     fn cxl_profile_is_dram_like_but_capped() {
         let spec = TierProfile::Cxl.spec();
         let dram = NodeSpec::from_tech(&TechProfile::dram());
-        let ratio = spec.slow.load_latency.as_nanos() as f64
-            / dram.load_latency.as_nanos() as f64;
+        let ratio = spec.slow.load_latency.as_nanos() as f64 / dram.load_latency.as_nanos() as f64;
         assert!((1.5..=2.0).contains(&ratio), "CXL latency ratio {ratio}");
         assert_eq!(spec.slow.load_latency, spec.slow.store_latency);
         assert!(spec.slow.read_bandwidth_gbps < dram.read_bandwidth_gbps * 0.6);
@@ -257,7 +265,10 @@ mod tests {
 
     #[test]
     fn specs_resolve_to_node_params() {
-        let p = TierProfile::OptaneDc.spec().slow.node_params(MemKind::Slow, 8 << 30);
+        let p = TierProfile::OptaneDc
+            .spec()
+            .slow
+            .node_params(MemKind::Slow, 8 << 30);
         assert_eq!(p.kind, MemKind::Slow);
         assert_eq!(p.load_latency, Nanos::from_nanos(285));
         assert!((p.write_bandwidth_gbps - 2.3).abs() < 1e-9);

@@ -186,7 +186,9 @@ mod tests {
         let run = |jobs: usize| {
             Runner::new(jobs).run((0..40u64).collect(), |s| {
                 let mut rng = SimRng::seed_from(s);
-                (0..100).map(|_| rng.next_u64()).fold(0u64, u64::wrapping_add)
+                (0..100)
+                    .map(|_| rng.next_u64())
+                    .fold(0u64, u64::wrapping_add)
             })
         };
         let reference = run(1);

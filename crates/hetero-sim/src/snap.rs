@@ -127,7 +127,10 @@ impl fmt::Display for SnapshotError {
                 "snapshot layer mismatch: file captures layer {found}, expected layer {expected}"
             ),
             SnapshotError::TrailingBytes { remaining } => {
-                write!(f, "snapshot has {remaining} trailing byte(s) after the state")
+                write!(
+                    f,
+                    "snapshot has {remaining} trailing byte(s) after the state"
+                )
             }
             SnapshotError::Corrupt(msg) => write!(f, "snapshot corrupt: {msg}"),
         }
@@ -855,7 +858,10 @@ mod tests {
         round_trip(&vec![1u64, 2, 3]);
         round_trip(&Vec::<u64>::new());
         round_trip(&VecDeque::from(vec![9u32, 8, 7]));
-        round_trip(&BTreeMap::from([(1u64, "a".to_string()), (2, "b".to_string())]));
+        round_trip(&BTreeMap::from([
+            (1u64, "a".to_string()),
+            (2, "b".to_string()),
+        ]));
         round_trip(&[1u64, 2, 3]);
         round_trip(&(1u64, true, 2.5f64));
         round_trip(&(3u64..9u64));
@@ -891,7 +897,10 @@ mod tests {
     #[test]
     fn bad_bool_and_option_bytes_are_corrupt() {
         let mut r = SnapReader::new(&[2]);
-        assert!(matches!(bool::unsnap(&mut r), Err(SnapshotError::Corrupt(_))));
+        assert!(matches!(
+            bool::unsnap(&mut r),
+            Err(SnapshotError::Corrupt(_))
+        ));
         let mut r = SnapReader::new(&[7]);
         assert!(matches!(
             Option::<u64>::unsnap(&mut r),

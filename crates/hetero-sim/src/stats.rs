@@ -168,7 +168,11 @@ impl Histogram {
             seen += n;
             if seen >= target {
                 // Upper bound of bucket i, clamped to the observed max.
-                let bound = if i >= 63 { u64::MAX } else { (1u64 << (i + 1)) - 1 };
+                let bound = if i >= 63 {
+                    u64::MAX
+                } else {
+                    (1u64 << (i + 1)) - 1
+                };
                 return bound.min(self.max);
             }
         }

@@ -97,10 +97,7 @@ impl Registry {
             .or_insert(MetricValue::Counter(0));
         match entry {
             MetricValue::Counter(v) => v,
-            other => panic!(
-                "metric '{name}' is a {}, not a counter",
-                other.kind_name()
-            ),
+            other => panic!("metric '{name}' is a {}, not a counter", other.kind_name()),
         }
     }
 
@@ -606,7 +603,11 @@ mod tests {
         let spans: Vec<&SpanRecord> = t.finished().collect();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].label, "guest-ops");
-        assert_eq!(spans[0].end, Nanos::from_nanos(9), "stamped at parent close");
+        assert_eq!(
+            spans[0].end,
+            Nanos::from_nanos(9),
+            "stamped at parent close"
+        );
     }
 
     #[test]

@@ -117,10 +117,7 @@ impl FairShare {
     /// Panics if the guest is already registered or the minima oversubscribe
     /// the machine.
     pub fn register(&mut self, id: GuestId, min: KindMap<u64>) {
-        assert!(
-            !self.guests.contains_key(&id),
-            "{id} is already registered"
-        );
+        assert!(!self.guests.contains_key(&id), "{id} is already registered");
         for (k, &m) in min.iter() {
             assert!(
                 self.consumed[k] + m <= self.total[k],
@@ -128,13 +125,7 @@ impl FairShare {
             );
             self.consumed[k] += m;
         }
-        self.guests.insert(
-            id,
-            GuestShare {
-                min,
-                alloc: min,
-            },
-        );
+        self.guests.insert(id, GuestShare { min, alloc: min });
     }
 
     /// Removes a guest from the ledger (crash or shutdown), returning every
@@ -325,9 +316,7 @@ impl FairShare {
 
     /// True when [`FairShare::release`] would succeed.
     pub fn can_release(&self, id: GuestId, kind: MemKind, pages: u64) -> bool {
-        self.guests
-            .get(&id)
-            .is_some_and(|g| g.alloc[kind] >= pages)
+        self.guests.get(&id).is_some_and(|g| g.alloc[kind] >= pages)
     }
 
     /// Applies a reclaim: `pages` of `kind` taken back from `id` (after the

@@ -944,7 +944,11 @@ mod tests {
         assert_eq!(t.write_history_bits(gfns[0]), 0);
         assert_eq!(t.write_history_bits(gfns[1]), 0b11);
         assert_eq!(t.history_bits(gfns[2]), 0);
-        assert_eq!(t.write_history_bits(Gfn(u64::MAX)), 0, "unseen frames are 0");
+        assert_eq!(
+            t.write_history_bits(Gfn(u64::MAX)),
+            0,
+            "unseen frames are 0"
+        );
         // Both sustained pages crossed the threshold-2 hot bar.
         assert!(out.hot_candidates.contains(&gfns[0]));
         assert!(out.hot_candidates.contains(&gfns[1]));

@@ -56,7 +56,10 @@ impl fmt::Display for VmmError {
                 write!(f, "machine cannot back the reserved minimum on {k}")
             }
             VmmError::LedgerInconsistent(id, k) => {
-                write!(f, "share ledger and machine frames disagree for {id} on {k}")
+                write!(
+                    f,
+                    "share ledger and machine frames disagree for {id} on {k}"
+                )
             }
             VmmError::InvalidReclaim(id, k) => {
                 write!(f, "reclaim/release exceeds what {id} holds on {k}")
@@ -380,11 +383,7 @@ impl Vmm {
             match self.fair.request(id, d) {
                 Grant::Granted => match self.machine.alloc_frames(kind, immediate) {
                     Ok(mfns) => {
-                        self.guests
-                            .get_mut(&id)
-                            .expect("registered")
-                            .frames[kind]
-                            .extend(mfns);
+                        self.guests.get_mut(&id).expect("registered").frames[kind].extend(mfns);
                     }
                     Err(_) => {
                         // The share ledger said the pages were free but the
@@ -433,9 +432,7 @@ impl Vmm {
             .guests
             .get_mut(&donor)
             .ok_or(VmmError::UnknownGuest(donor))?;
-        if !self.fair.can_reclaim(donor, kind, pages)
-            || (entry.frames[kind].len() as u64) < pages
-        {
+        if !self.fair.can_reclaim(donor, kind, pages) || (entry.frames[kind].len() as u64) < pages {
             return Err(VmmError::InvalidReclaim(donor, kind));
         }
         self.fair.reclaim(donor, kind, pages);
@@ -462,9 +459,7 @@ impl Vmm {
         pages: u64,
     ) -> Result<(), VmmError> {
         let entry = self.guests.get_mut(&id).ok_or(VmmError::UnknownGuest(id))?;
-        if !self.fair.can_release(id, kind, pages)
-            || (entry.frames[kind].len() as u64) < pages
-        {
+        if !self.fair.can_release(id, kind, pages) || (entry.frames[kind].len() as u64) < pages {
             return Err(VmmError::InvalidReclaim(id, kind));
         }
         self.fair.release(id, kind, pages);
@@ -524,13 +519,7 @@ impl Vmm {
         }
         Self::flush_pending_back(self.guests.get_mut(&id).expect("checked"));
         let mut handled = 0;
-        while let Some(msg) = self
-            .guests
-            .get_mut(&id)
-            .expect("checked")
-            .ring
-            .poll_front()
-        {
+        while let Some(msg) = self.guests.get_mut(&id).expect("checked").ring.poll_front() {
             handled += 1;
             match msg {
                 FrontMsg::OnDemand {
@@ -629,7 +618,8 @@ mod tests {
     #[test]
     fn register_backs_minimum_with_frames() {
         let mut vmm = Vmm::new(machine(100, 100), SharePolicy::paper_drf());
-        vmm.register_guest(GuestId(0), spec(30, 60, 0, 100)).unwrap();
+        vmm.register_guest(GuestId(0), spec(30, 60, 0, 100))
+            .unwrap();
         assert_eq!(vmm.machine().free_frames(MemKind::Fast), 70);
         assert_eq!(vmm.granted(GuestId(0)).unwrap()[MemKind::Fast], 30);
     }
@@ -637,7 +627,8 @@ mod tests {
     #[test]
     fn duplicate_and_unknown_guests_error() {
         let mut vmm = Vmm::new(machine(10, 10), SharePolicy::paper_drf());
-        vmm.register_guest(GuestId(1), GuestSpec::default()).unwrap();
+        vmm.register_guest(GuestId(1), GuestSpec::default())
+            .unwrap();
         assert_eq!(
             vmm.register_guest(GuestId(1), GuestSpec::default()),
             Err(VmmError::DuplicateGuest(GuestId(1)))
@@ -671,7 +662,8 @@ mod tests {
     #[test]
     fn fallback_tier_covers_unmet_demand() {
         let mut vmm = Vmm::new(machine(10, 100), SharePolicy::paper_drf());
-        vmm.register_guest(GuestId(0), spec(0, 100, 0, 100)).unwrap();
+        vmm.register_guest(GuestId(0), spec(0, 100, 0, 100))
+            .unwrap();
         let g = vmm
             .request_memory(GuestId(0), MemKind::Fast, 30, Some(MemKind::Slow))
             .unwrap();
@@ -682,8 +674,10 @@ mod tests {
     #[test]
     fn contention_produces_reclaim_plan_and_confirm_executes_it() {
         let mut vmm = Vmm::new(machine(100, 100), SharePolicy::paper_drf());
-        vmm.register_guest(GuestId(0), spec(10, 100, 0, 100)).unwrap();
-        vmm.register_guest(GuestId(1), spec(10, 100, 0, 100)).unwrap();
+        vmm.register_guest(GuestId(0), spec(10, 100, 0, 100))
+            .unwrap();
+        vmm.register_guest(GuestId(1), spec(10, 100, 0, 100))
+            .unwrap();
         // Guest 1 hoards FastMem.
         let g = vmm
             .request_memory(GuestId(1), MemKind::Fast, 80, None)
@@ -717,7 +711,8 @@ mod tests {
     #[test]
     fn unregister_returns_every_backing_frame() {
         let mut vmm = Vmm::new(machine(100, 100), SharePolicy::paper_drf());
-        vmm.register_guest(GuestId(0), spec(10, 100, 5, 100)).unwrap();
+        vmm.register_guest(GuestId(0), spec(10, 100, 5, 100))
+            .unwrap();
         vmm.request_memory(GuestId(0), MemKind::Fast, 15, None)
             .unwrap();
         let reclaimed = vmm.unregister_guest(GuestId(0)).unwrap();
@@ -731,14 +726,16 @@ mod tests {
             Err(VmmError::UnknownGuest(GuestId(0)))
         );
         // The id can be reused after a crash-restart.
-        vmm.register_guest(GuestId(0), spec(10, 100, 5, 100)).unwrap();
+        vmm.register_guest(GuestId(0), spec(10, 100, 5, 100))
+            .unwrap();
         assert_eq!(vmm.granted(GuestId(0)).unwrap()[MemKind::Fast], 10);
     }
 
     #[test]
     fn full_back_ring_queues_responses_until_next_pump() {
         let mut vmm = Vmm::new(machine(100, 100), SharePolicy::paper_drf());
-        vmm.register_guest(GuestId(0), spec(0, 100, 0, 100)).unwrap();
+        vmm.register_guest(GuestId(0), spec(0, 100, 0, 100))
+            .unwrap();
         {
             let ring = vmm.ring_mut(GuestId(0)).unwrap();
             while ring.post_back(BackMsg::HotPages(Vec::new())).is_ok() {}
@@ -774,7 +771,8 @@ mod tests {
     #[test]
     fn crash_with_pending_responses_counts_dropped_events() {
         let mut vmm = Vmm::new(machine(100, 100), SharePolicy::paper_drf());
-        vmm.register_guest(GuestId(0), spec(0, 100, 0, 100)).unwrap();
+        vmm.register_guest(GuestId(0), spec(0, 100, 0, 100))
+            .unwrap();
         assert_eq!(vmm.events_dropped(), 0);
         {
             let ring = vmm.ring_mut(GuestId(0)).unwrap();
@@ -852,7 +850,8 @@ mod tests {
     #[test]
     fn ring_pump_updates_tracking_lists_and_scans_coordinated() {
         let mut vmm = Vmm::new(machine(64, 256), SharePolicy::paper_drf());
-        vmm.register_guest(GuestId(0), GuestSpec::default()).unwrap();
+        vmm.register_guest(GuestId(0), GuestSpec::default())
+            .unwrap();
         let mut kernel = GuestKernel::new(hetero_guest::GuestConfig {
             frames: vec![(MemKind::Fast, 64), (MemKind::Slow, 256)],
             cpus: 1,

@@ -57,8 +57,8 @@ impl AppWorkload {
         // 16/48 MB caches) and time-based management intervals (100 ms
         // scans) keep their physical meaning.
         let epochs_total = spec.epochs().max(2);
-        let ramp_epochs = ((epochs_total as f64 * spec.ramp_fraction) as u64)
-            .clamp(1, epochs_total - 1);
+        let ramp_epochs =
+            ((epochs_total as f64 * spec.ramp_fraction) as u64).clamp(1, epochs_total - 1);
         AppWorkload {
             target_heap: pages(spec.footprint.heap),
             target_cache: pages(spec.footprint.page_cache),
@@ -159,11 +159,7 @@ impl Workload for AppWorkload {
             let buf = self.churn(rng, self.resident_buffer, self.spec.io_churn_per_sec);
             d.buffer_allocs = buf;
             d.buffer_releases = buf;
-            let slab = self.churn(
-                rng,
-                self.resident_slab,
-                self.spec.kernel_buf_churn_per_sec,
-            );
+            let slab = self.churn(rng, self.resident_slab, self.spec.kernel_buf_churn_per_sec);
             d.slab_allocs = slab;
             d.slab_frees = slab;
             let nb = self.churn(

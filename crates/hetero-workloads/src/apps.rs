@@ -270,14 +270,7 @@ pub fn nginx() -> WorkloadSpec {
 
 /// All Table 2 applications, in the paper's presentation order.
 pub fn all() -> Vec<WorkloadSpec> {
-    vec![
-        graphchi(),
-        x_stream(),
-        metis(),
-        leveldb(),
-        redis(),
-        nginx(),
-    ]
+    vec![graphchi(), x_stream(), metis(), leveldb(), redis(), nginx()]
 }
 
 /// The five applications of Figs 9–12 (Nginx dropped per §5.3).

@@ -112,7 +112,9 @@ mod tests {
     fn sweeps_match_figure_axes() {
         let m = memlat_sweep();
         assert_eq!(m.len(), 6);
-        assert!(m.windows(2).all(|w| w[0].footprint.heap < w[1].footprint.heap));
+        assert!(m
+            .windows(2)
+            .all(|w| w[0].footprint.heap < w[1].footprint.heap));
         assert_eq!(stream_sweep().len(), 2);
     }
 }

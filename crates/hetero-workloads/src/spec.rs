@@ -156,7 +156,8 @@ impl WorkloadSpec {
 
     /// Number of epochs in a full run.
     pub fn epochs(&self) -> u64 {
-        self.total_instructions.div_ceil(self.instructions_per_epoch)
+        self.total_instructions
+            .div_ceil(self.instructions_per_epoch)
     }
 
     /// Heat value for a newly allocated page of `page_type`, using the

@@ -109,20 +109,20 @@ impl WorkloadTrace {
             });
         }
         let _name = fields.next();
-        let declared: usize = fields
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| TraceParseError {
-                line: 1,
-                message: "header missing epoch count".into(),
-            })?;
+        let declared: usize =
+            fields
+                .next()
+                .and_then(|s| s.parse().ok())
+                .ok_or_else(|| TraceParseError {
+                    line: 1,
+                    message: "header missing epoch count".into(),
+                })?;
         let mut demands = Vec::with_capacity(declared);
         for (i, line) in lines.enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let nums: Result<Vec<u64>, _> =
-                line.split_whitespace().map(u64::from_str).collect();
+            let nums: Result<Vec<u64>, _> = line.split_whitespace().map(u64::from_str).collect();
             let nums = nums.map_err(|e| TraceParseError {
                 line: i + 2,
                 message: format!("bad number: {e}"),
@@ -179,7 +179,11 @@ pub struct TraceParseError {
 
 impl std::fmt::Display for TraceParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "trace parse error at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
@@ -242,7 +246,11 @@ mod tests {
         let mut rng = SimRng::seed_from(999); // replay ignores the rng
         assert_eq!(replay.progress(), 0.0);
         for (i, expected) in t.demands.iter().enumerate() {
-            assert_eq!(replay.next_epoch(&mut rng).as_ref(), Some(expected), "epoch {i}");
+            assert_eq!(
+                replay.next_epoch(&mut rng).as_ref(),
+                Some(expected),
+                "epoch {i}"
+            );
         }
         assert_eq!(replay.next_epoch(&mut rng), None);
         assert!((replay.progress() - 1.0).abs() < 1e-12);
@@ -266,9 +274,8 @@ mod tests {
         let err =
             WorkloadTrace::from_text("heteroos-trace v1 x 1\n1 2 3\n", spec.clone()).unwrap_err();
         assert!(err.message.contains("11 fields"), "{err}");
-        let err =
-            WorkloadTrace::from_text("heteroos-trace v1 x 2\n1 0 0 0 0 0 0 0 0 0 0\n", spec)
-                .unwrap_err();
+        let err = WorkloadTrace::from_text("heteroos-trace v1 x 2\n1 0 0 0 0 0 0 0 0 0 0\n", spec)
+            .unwrap_err();
         assert!(err.message.contains("declares 2"), "{err}");
     }
 

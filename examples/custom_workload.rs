@@ -26,11 +26,11 @@ fn analytics_service() -> WorkloadSpec {
         total_instructions: 60_000_000_000,
         instructions_per_epoch: 500_000_000,
         footprint: Footprint {
-            heap: 6 * GB,          // mostly a cold columnar archive
-            page_cache: 512 * MB,  // ingest buffers
+            heap: 6 * GB,         // mostly a cold columnar archive
+            page_cache: 512 * MB, // ingest buffers
             buffer_cache: 64 * MB,
             slab: 64 * MB,
-            net_buf: 128 * MB,     // query responses
+            net_buf: 128 * MB, // query responses
         },
         access_mix: AccessMix {
             heap: 0.70,

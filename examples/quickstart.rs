@@ -16,14 +16,27 @@ fn main() {
     let mut spec = apps::graphchi();
     spec.total_instructions /= 8;
 
-    println!("app: {}  (MPKI {}, {} epochs)", spec.name, spec.mpki, spec.epochs());
-    println!("platform: FastMem {} MiB / SlowMem {} MiB\n",
-        cfg.fast_bytes >> 20, cfg.slow_bytes >> 20);
+    println!(
+        "app: {}  (MPKI {}, {} epochs)",
+        spec.name,
+        spec.mpki,
+        spec.epochs()
+    );
+    println!(
+        "platform: FastMem {} MiB / SlowMem {} MiB\n",
+        cfg.fast_bytes >> 20,
+        cfg.slow_bytes >> 20
+    );
 
     let slow = run_app(&cfg, Policy::SlowMemOnly, spec.clone());
     let fast = run_app(&cfg, Policy::FastMemOnly, spec.clone());
     println!("{:<22} {:>10} {:>12}", "policy", "runtime", "gain vs slow");
-    println!("{:<22} {:>10} {:>11.1}%", "SlowMem-only", slow.runtime.to_string(), 0.0);
+    println!(
+        "{:<22} {:>10} {:>11.1}%",
+        "SlowMem-only",
+        slow.runtime.to_string(),
+        0.0
+    );
 
     for policy in [
         Policy::NumaPreferred,

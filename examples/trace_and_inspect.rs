@@ -37,11 +37,7 @@ fn main() {
 
     // 2. Replay the identical stream under two policies.
     for policy in [Policy::HeapIoSlabOd, Policy::HeteroCoordinated] {
-        let mut sim = SingleVmSim::new(
-            cfg.clone(),
-            policy,
-            recording.clone().into_workload(),
-        );
+        let mut sim = SingleVmSim::new(cfg.clone(), policy, recording.clone().into_workload());
         while sim.step() {}
         let report = sim.report();
         println!(

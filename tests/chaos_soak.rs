@@ -19,11 +19,11 @@
 
 use heteroos::core::{AuditLevel, Policy, SimConfig, SingleVmSim};
 use heteroos::faults::{audit_kernel, audit_vmm, FaultInjector, FaultPlan};
-use heteroos::mem::FlushPolicy;
 use heteroos::guest::kernel::{GuestConfig, GuestKernel};
 use heteroos::guest::kswapd::Kswapd;
 use heteroos::guest::page::PageType;
 use heteroos::guest::pagecache::FileId;
+use heteroos::mem::FlushPolicy;
 use heteroos::mem::{MachineMemory, MemKind, ThrottleConfig};
 use heteroos::sim::{Runner, SimRng};
 use heteroos::vmm::channel::{BackMsg, FrontMsg};
@@ -70,8 +70,7 @@ fn engine_soak_once(seed: u64) -> String {
 #[test]
 fn engine_survives_fault_plans_with_clean_invariants() {
     let mut any_faults = false;
-    for (seed, (trace, again)) in
-        per_seed(|seed| (engine_soak_once(seed), engine_soak_once(seed)))
+    for (seed, (trace, again)) in per_seed(|seed| (engine_soak_once(seed), engine_soak_once(seed)))
     {
         any_faults |= !trace.is_empty();
         assert_eq!(
@@ -231,7 +230,11 @@ fn paranoid_audit_is_invisible_under_crash_restarts() {
                 audit,
             )
         };
-        (run(AuditLevel::Off), run(AuditLevel::Epoch), run(AuditLevel::Paranoid))
+        (
+            run(AuditLevel::Off),
+            run(AuditLevel::Epoch),
+            run(AuditLevel::Paranoid),
+        )
     });
     let mut any_crash = false;
     for (seed, (off, epoch, paranoid)) in seeds.into_iter().zip(results) {
@@ -290,9 +293,7 @@ fn kernel_soak_once(seed: u64) -> String {
         }
         // Migration under injected transient failures: errors must leave
         // the books balanced, successes must move the page.
-        for gfn in kernel.lru_candidates(MemKind::Slow, 2, |p| {
-            p.page_type == PageType::HeapAnon
-        }) {
+        for gfn in kernel.lru_candidates(MemKind::Slow, 2, |p| p.page_type == PageType::HeapAnon) {
             let _ = inj.migrate_page(&mut kernel, gfn, MemKind::Fast);
         }
         // Background reclaim, possibly stalled.
@@ -315,8 +316,7 @@ fn kernel_soak_once(seed: u64) -> String {
 
 #[test]
 fn kernel_books_balance_under_heavy_faults() {
-    for (seed, (trace, again)) in
-        per_seed(|seed| (kernel_soak_once(seed), kernel_soak_once(seed)))
+    for (seed, (trace, again)) in per_seed(|seed| (kernel_soak_once(seed), kernel_soak_once(seed)))
     {
         assert!(
             !trace.is_empty(),
@@ -400,7 +400,11 @@ fn vmm_soak_once(seed: u64) -> String {
             }
             // Occasionally hand memory back voluntarily.
             if rng.chance(0.15) {
-                let kind = if rng.chance(0.5) { MemKind::Fast } else { MemKind::Slow };
+                let kind = if rng.chance(0.5) {
+                    MemKind::Fast
+                } else {
+                    MemKind::Slow
+                };
                 let held = vmm.granted(id).unwrap()[kind];
                 let floor = guest_spec().min[kind];
                 let give = rng.next_range(0, 4).min(held.saturating_sub(floor));

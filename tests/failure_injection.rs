@@ -162,7 +162,10 @@ fn fairshare_ledger_stays_consistent_across_denials() {
     fs.register(GuestId(0), KindMap::default());
     let mut demand: KindMap<u64> = KindMap::default();
     demand[MemKind::Fast] = 7;
-    assert_eq!(fs.request(GuestId(0), demand), heteroos::vmm::Grant::Granted);
+    assert_eq!(
+        fs.request(GuestId(0), demand),
+        heteroos::vmm::Grant::Granted
+    );
     // A request beyond capacity with no donors is denied and changes
     // nothing.
     let mut big: KindMap<u64> = KindMap::default();

@@ -71,7 +71,10 @@ fn nvm_slow_makes_stores_expensive_and_write_awareness_recovers_some() {
     );
     // Write-aware coordinated reduces NVM writes vs plain coordinated.
     let plain = run_app(&nvm, Policy::HeteroCoordinated, spec.clone());
-    let aware_cfg = SimConfig { write_aware: true, ..nvm };
+    let aware_cfg = SimConfig {
+        write_aware: true,
+        ..nvm
+    };
     let aware = run_app(&aware_cfg, Policy::HeteroCoordinated, spec);
     assert!(aware.slow_writes <= plain.slow_writes * 1.02);
 }

@@ -306,9 +306,8 @@ fn pcp_and_buddy_conserve_pages() {
             } else if let Some(g) = held.pop() {
                 pcp.free(cpu, MemKind::Fast, g, &mut buddy);
             }
-            let accounted = buddy.free_frames()
-                + pcp.cached_total(MemKind::Fast) as u64
-                + held.len() as u64;
+            let accounted =
+                buddy.free_frames() + pcp.cached_total(MemKind::Fast) as u64 + held.len() as u64;
             assert_eq!(accounted, total, "seed {seed}");
         }
     }

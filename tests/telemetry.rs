@@ -97,7 +97,12 @@ fn instrumented_run_populates_every_layer() {
         assert!(snap.contains(needle), "snapshot missing {needle}:\n{snap}");
     }
     // Every span label of the hierarchy shows up.
-    for label in ["\"epoch\"", "\"guest-ops\"", "\"guest-lru\"", "\"vmm-decision\""] {
+    for label in [
+        "\"epoch\"",
+        "\"guest-ops\"",
+        "\"guest-lru\"",
+        "\"vmm-decision\"",
+    ] {
         assert!(snap.contains(label), "snapshot missing span {label}");
     }
 }
@@ -132,7 +137,11 @@ fn assert_json(s: &str) {
     skip_ws(bytes, &mut pos);
     parse_value(bytes, &mut pos, s);
     skip_ws(bytes, &mut pos);
-    assert_eq!(pos, bytes.len(), "trailing garbage after JSON value in: {s}");
+    assert_eq!(
+        pos,
+        bytes.len(),
+        "trailing garbage after JSON value in: {s}"
+    );
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -230,10 +239,7 @@ fn parse_string(b: &[u8], pos: &mut usize, src: &str) {
                     b'u' => {
                         assert!(*pos + 4 < b.len(), "short \\u escape in: {src}");
                         for i in 1..=4 {
-                            assert!(
-                                b[*pos + i].is_ascii_hexdigit(),
-                                "bad \\u escape in: {src}"
-                            );
+                            assert!(b[*pos + i].is_ascii_hexdigit(), "bad \\u escape in: {src}");
                         }
                         *pos += 5;
                     }

@@ -80,7 +80,8 @@ fn two_guests_share_the_machine_through_grants_and_balloons() {
 #[test]
 fn coordinated_scan_over_the_channel_finds_guest_hot_pages() {
     let mut vmm = Vmm::new(machine(512, 2048), SharePolicy::paper_drf());
-    vmm.register_guest(GuestId(0), GuestSpec::default()).unwrap();
+    vmm.register_guest(GuestId(0), GuestSpec::default())
+        .unwrap();
 
     let mut kernel = guest(512, 2048);
     let (vma, _) = kernel
@@ -89,7 +90,12 @@ fn coordinated_scan_over_the_channel_finds_guest_hot_pages() {
     // Some I/O pages that the exception list must hide from tracking.
     for off in 0..8 {
         kernel
-            .page_in(heteroos::guest::pagecache::FileId(1), off, 224, &[MemKind::Slow])
+            .page_in(
+                heteroos::guest::pagecache::FileId(1),
+                off,
+                224,
+                &[MemKind::Slow],
+            )
             .unwrap();
     }
 
