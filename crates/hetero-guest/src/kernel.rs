@@ -7,6 +7,7 @@
 //! inflation. **Policy** (which tier a page type should prefer, when to
 //! migrate) lives in `hetero-core`, which drives this API.
 
+use std::cell::Cell;
 use std::fmt;
 
 use hetero_mem::kind::KindMap;
@@ -105,6 +106,26 @@ pub enum SlabClass {
     Skbuff,
     /// Filesystem metadata (dentries/inodes) — [`PageType::Slab`] pages.
     FsMeta,
+}
+
+impl SlabClass {
+    /// The type of the class's slab pages.
+    fn page_type(self) -> PageType {
+        match self {
+            SlabClass::Skbuff => PageType::NetBuf,
+            SlabClass::FsMeta => PageType::Slab,
+        }
+    }
+}
+
+/// A miss among a page-in run's probes.
+const NO_FRAME: Gfn = Gfn(u64::MAX);
+
+thread_local! {
+    /// Scratch frames the run paths reuse from call to call. It holds
+    /// nothing between calls, so one buffer serves every kernel on a
+    /// thread, and a fleet of kernels keeps no run-sized buffer each.
+    static RUN_FRAMES: Cell<Vec<Gfn>> = const { Cell::new(Vec::new()) };
 }
 
 /// The heterogeneity-aware guest kernel.
@@ -327,13 +348,68 @@ impl GuestKernel {
         self.pcp.alloc_draining(cpu, kind, buddy)
     }
 
-    /// Stands for `k` further [`GuestKernel::alloc_page`] calls on `chain`
-    /// after one has just failed there. That failure left every configured
-    /// tier of the chain exhausted, and nothing in between frees a frame,
-    /// so each call would only advance `next_cpu` once per chain entry,
-    /// count two refills per configured entry (`raw_alloc`'s exhausted
-    /// guard) and record one miss.
-    fn record_failed_allocs(&mut self, page_type: PageType, chain: &[MemKind], k: u64) {
+    /// Takes up to `n` frames along a preference chain, appending them to
+    /// `out`, exactly as `n` [`GuestKernel::raw_alloc_chain`] calls would
+    /// (the same frames in the same order, `next_cpu`, refills and per-CPU
+    /// hits), stopping after the first call that fails, whose steps are
+    /// taken. Returns the frames taken.
+    ///
+    /// Nothing frees during a run, so a tier that fails stays exhausted,
+    /// and the run is one phase per chain entry. In phase `j` every call
+    /// first fails on entries `0..j`: each steps `next_cpu` once and, if
+    /// configured, counts the two refills of the empty-tier answer. So
+    /// entry `j` serves every `(j + 1)`-th CPU, one
+    /// [`PerCpuLists::alloc_round_robin`] with that stride. The run reads
+    /// no descriptor, LRU list, page-cache entry or statistic, so a caller
+    /// may write those for the run's frames afterwards, in frame order.
+    fn raw_alloc_run(&mut self, chain: &[MemKind], n: u64, out: &mut Vec<Gfn>) -> u64 {
+        let cpus = self.pcp.cpus();
+        // Refills counted by the failing entries each call passes first.
+        let (mut got, mut skip_refills) = (0, 0);
+        for (j, &kind) in chain.iter().enumerate() {
+            if got == n {
+                break;
+            }
+            let Some(buddy) = self.buddies[kind].as_mut() else {
+                // The pending call steps past the unconfigured tier.
+                self.next_cpu = (self.next_cpu + 1) % cpus;
+                continue;
+            };
+            // `next_cpu` is entry `j`'s CPU for the pending call; each
+            // take leaves the cursor `j + 1` CPUs on.
+            let (want, mut cursor) = (n - got, self.next_cpu);
+            let taken = self
+                .pcp
+                .alloc_round_robin(kind, want, j + 1, &mut cursor, buddy, out);
+            got += taken;
+            // Every take but the first passed the earlier entries first.
+            let takes = taken + u64::from(taken < want);
+            self.pcp.refills += skip_refills * (takes - 1);
+            self.next_cpu = (cursor + cpus - j % cpus) % cpus;
+            skip_refills += 2;
+        }
+        got
+    }
+
+    /// Free frames on the tiers of a chain, each tier counted once: what a
+    /// run along the chain takes before a call fails.
+    fn chain_free_frames(&self, chain: &[MemKind]) -> u64 {
+        MemKind::ALL
+            .into_iter()
+            .filter(|kind| chain.contains(kind))
+            .map(|kind| self.free_frames(kind))
+            .sum()
+    }
+
+    /// Accounts `failed` requests of `page_type` along `chain` that find
+    /// no frame, the first of them a run's last call, which failed and
+    /// took its steps. That failure left every configured tier of the
+    /// chain exhausted, and nothing in between frees a frame, so each of
+    /// the other `failed - 1` calls would only advance `next_cpu` once per
+    /// chain entry and count two refills per configured entry (the
+    /// empty-tier answer). Each of the `failed` requests records a miss.
+    fn record_failed_allocs(&mut self, page_type: PageType, chain: &[MemKind], failed: u64) {
+        let k = failed - 1;
         let steps = self.next_cpu as u64 + chain.len() as u64 * k;
         self.next_cpu = (steps % self.pcp.cpus() as u64) as usize;
         let configured = chain
@@ -342,7 +418,7 @@ impl GuestKernel {
             .count();
         self.pcp.refills += 2 * k * configured as u64;
         let wanted_fast = chain.first() == Some(&MemKind::Fast);
-        self.stats.record_run(page_type, wanted_fast, 0, k);
+        self.stats.record_run(page_type, wanted_fast, 0, failed);
     }
 
     fn raw_free(&mut self, gfn: Gfn) {
@@ -457,7 +533,18 @@ impl GuestKernel {
     /// table, and batching the whole range through
     /// [`PageTable::map_range`] descends each leaf table once per 512-page
     /// block instead of once per page. End state is identical to the
-    /// historical per-page `map` loop.
+    /// historical per-page `alloc_page` and `map` loop: the frames come
+    /// from one run along the chain (`raw_alloc_run`), then one pass
+    /// writes their descriptors and LRU links.
+    ///
+    /// A map larger than its chain's free frames is *doomed*: the per-page
+    /// loop took every free frame, failed, and freed them again. That
+    /// round trip leaves the descriptors, LRU lists and page table as they
+    /// were, except that each frame keeps the heap type
+    /// ([`MemMap::set_free`] keeps a frame's type), and moves the
+    /// transition and allocation counts and the per-CPU lists and buddies.
+    /// A doomed map applies only those: the run takes the frames and frees
+    /// them in the same order, with no descriptor written but the type.
     ///
     /// # Errors
     ///
@@ -478,43 +565,39 @@ impl GuestKernel {
                 page_type: PageType::HeapAnon,
             })?;
         out.clear();
-        out.reserve(pages as usize);
-        let mut placed = KindMap::default();
-        let mut heats = heats.into_iter();
-        // Fused per-page sequence: state-equivalent to `alloc_page` (active
-        // insert) plus an rmap store, but each descriptor is written in one
-        // borrow and the LRU transition / allocation statistics are tallied
-        // once per run instead of once per page.
         if pages > 0 {
             assert!(!preference.is_empty(), "preference list must be non-empty");
         }
         let wanted_fast = preference.first() == Some(&MemKind::Fast);
-        for vpn in vma.start..vma.end() {
+        if pages > self.chain_free_frames(preference) {
+            let taken = self.raw_alloc_run(preference, pages, out);
+            let mut fast = 0;
+            for &gfn in out.iter() {
+                let kind = self.mm.set_free_type(gfn, PageType::HeapAnon);
+                fast += u64::from(kind == MemKind::Fast);
+                self.raw_free(gfn);
+            }
+            self.lru.note_fresh_inserts(true, taken);
+            self.lru.note_removals(taken);
+            self.stats
+                .record_run(PageType::HeapAnon, wanted_fast, fast, taken);
+            self.stats.record(PageType::HeapAnon, wanted_fast, false);
+            out.clear();
+            self.space.munmap(vma.start, vma.pages);
+            return Err(AllocFailed {
+                page_type: PageType::HeapAnon,
+            });
+        }
+        out.reserve(pages as usize);
+        self.raw_alloc_run(preference, pages, out);
+        // Each descriptor is written in one borrow (state-equivalent to
+        // `alloc_page`'s active insert plus an rmap store), and the LRU
+        // transitions and allocation statistics are tallied once.
+        let mut placed = KindMap::default();
+        let mut heats = heats.into_iter();
+        for (vpn, &gfn) in (vma.start..).zip(out.iter()) {
             let heat = heats.next().unwrap_or(0);
-            let Some((gfn, kind)) = self.raw_alloc_chain(preference) else {
-                // Account the collected prefix and the failing attempt
-                // exactly like the scalar loop would have, then roll back.
-                // Nothing is in the page table yet (mapping happens below
-                // in one batch), so rollback is a plain free of the
-                // collected frames — `free_page`'s unmap of a never-mapped
-                // VPN is a no-op.
-                self.lru.note_fresh_inserts(true, out.len() as u64);
-                self.stats.record_run(
-                    PageType::HeapAnon,
-                    wanted_fast,
-                    placed[MemKind::Fast],
-                    out.len() as u64,
-                );
-                self.stats.record(PageType::HeapAnon, wanted_fast, false);
-                for &gfn in out.iter() {
-                    self.free_page(gfn);
-                }
-                out.clear();
-                self.space.munmap(vma.start, vma.pages);
-                return Err(AllocFailed {
-                    page_type: PageType::HeapAnon,
-                });
-            };
+            let kind = self.mm.kind_of(gfn);
             let list = self
                 .lru
                 .fresh_list_mut(kind, crate::lru::LruClass::Anon, true);
@@ -529,7 +612,6 @@ impl GuestKernel {
             );
             list.push_front_prelinked(&mut self.mm, gfn);
             placed[kind] += 1;
-            out.push(gfn);
         }
         self.lru.note_fresh_inserts(true, pages);
         self.stats.record_run(
@@ -621,6 +703,25 @@ impl GuestKernel {
             self.stats.record(page_type, wanted_fast, false);
             return Err(AllocFailed { page_type });
         };
+        self.fill_file_page(page_type, file, offset_page, heat, gfn);
+        self.lru.note_fresh_faulted(1);
+        self.stats
+            .record(page_type, wanted_fast, kind == MemKind::Fast);
+        Ok(gfn)
+    }
+
+    /// Writes a fresh file page's descriptor (present, active, LRU-linked,
+    /// file rmap) in one borrow and indexes the page in the page cache.
+    /// Returns the page's tier.
+    fn fill_file_page(
+        &mut self,
+        page_type: PageType,
+        file: FileId,
+        offset_page: u64,
+        heat: u8,
+        gfn: Gfn,
+    ) -> MemKind {
+        let kind = self.mm.kind_of(gfn);
         let list = self
             .lru
             .fresh_list_mut(kind, crate::lru::LruClass::File, true);
@@ -634,11 +735,8 @@ impl GuestKernel {
             RMap::File(file.0, offset_page),
         );
         list.push_front_prelinked(&mut self.mm, gfn);
-        self.lru.note_fresh_faulted(1);
-        self.stats
-            .record(page_type, wanted_fast, kind == MemKind::Fast);
         self.cache.insert(file, offset_page, gfn);
-        Ok(gfn)
+        kind
     }
 
     /// Brings one buffer-cache block in under a `(file, offset)` identity so
@@ -667,12 +765,10 @@ impl GuestKernel {
     /// Faults `count` consecutive file offsets starting at `first_offset`
     /// into the page cache — the bulk entry point for streaming reads.
     /// State-equivalent to calling [`GuestKernel::page_in`] once per offset
-    /// (same placements, statistics and cache-probe counts). For previously
-    /// uncached offsets, a tier-exhaustion failure persists for the rest of
-    /// the batch, so the successes form a prefix; the returned count is
-    /// that prefix length. Each remaining offset still makes its own cache
-    /// probe and allocation attempt, which `raw_alloc`'s exhausted-tier
-    /// guard answers without touching the allocators.
+    /// (same placements, statistics and cache-probe counts). Returns how
+    /// many offsets ended cached: every hit, and the misses up to the first
+    /// that found every tier of the chain exhausted, after which every
+    /// miss fails.
     pub fn page_in_many(
         &mut self,
         file: FileId,
@@ -681,13 +777,14 @@ impl GuestKernel {
         heat: u8,
         preference: &[MemKind],
     ) -> u64 {
-        let mut ok = 0u64;
-        for off in first_offset..first_offset + count {
-            if self.page_in(file, off, heat, preference).is_ok() {
-                ok += 1;
-            }
-        }
-        ok
+        self.file_pages_in(
+            PageType::PageCache,
+            file,
+            first_offset,
+            count,
+            heat,
+            preference,
+        )
     }
 
     /// As [`GuestKernel::page_in_many`], for buffer-cache blocks (mirrors
@@ -700,13 +797,60 @@ impl GuestKernel {
         heat: u8,
         preference: &[MemKind],
     ) -> u64 {
-        let mut ok = 0u64;
-        for off in first_offset..first_offset + count {
-            if self.buffer_page_in(file, off, heat, preference).is_ok() {
-                ok += 1;
+        self.file_pages_in(
+            PageType::BufferCache,
+            file,
+            first_offset,
+            count,
+            heat,
+            preference,
+        )
+    }
+
+    /// The run behind [`GuestKernel::page_in_many`] and
+    /// [`GuestKernel::buffer_page_in_many`]. Each offset is probed once, in
+    /// order; then the misses' frames come from one run along the chain;
+    /// then the offsets are applied in order: a hit is activated, a miss
+    /// gets its descriptor, LRU link and cache entry. Hits and misses join
+    /// the same active lists, so their interleaving is kept. The misses the
+    /// run could not serve fail as `record_failed_allocs` accounts them.
+    fn file_pages_in(
+        &mut self,
+        page_type: PageType,
+        file: FileId,
+        first: u64,
+        count: u64,
+        heat: u8,
+        chain: &[MemKind],
+    ) -> u64 {
+        let mut buf = RUN_FRAMES.take();
+        buf.clear();
+        let lookup = |off| self.cache.lookup(file, off).unwrap_or(NO_FRAME);
+        buf.extend((first..first + count).map(lookup));
+        let misses = buf.iter().filter(|&&g| g == NO_FRAME).count() as u64;
+        if misses > 0 {
+            assert!(!chain.is_empty(), "preference list must be non-empty");
+        }
+        let got = self.raw_alloc_run(chain, misses, &mut buf);
+        let (probes, frames) = buf.split_at(count as usize);
+        let mut frames = frames.iter();
+        let mut fast = 0;
+        for (off, &probe) in (first..).zip(probes) {
+            if probe != NO_FRAME {
+                self.lru.activate(&mut self.mm, probe);
+            } else if let Some(&gfn) = frames.next() {
+                let kind = self.fill_file_page(page_type, file, off, heat, gfn);
+                fast += u64::from(kind == MemKind::Fast);
             }
         }
-        ok
+        let wanted_fast = chain.first() == Some(&MemKind::Fast);
+        self.lru.note_fresh_faulted(got);
+        self.stats.record_run(page_type, wanted_fast, fast, got);
+        if got < misses {
+            self.record_failed_allocs(page_type, chain, misses - got);
+        }
+        RUN_FRAMES.set(buf);
+        count - misses + got
     }
 
     /// Drops a batch of cached pages by identity — the bulk release entry
@@ -775,24 +919,13 @@ impl GuestKernel {
         heat: u8,
         preference: &[MemKind],
     ) -> Result<Gfn, AllocFailed> {
-        let page_type = match class {
-            SlabClass::Skbuff => PageType::NetBuf,
-            SlabClass::FsMeta => PageType::Slab,
-        };
-        // Split-borrow dance: try without a new page first.
-        let cache = match class {
-            SlabClass::Skbuff => &mut self.skbuff,
-            SlabClass::FsMeta => &mut self.fs_meta,
-        };
-        if let Some(gfn) = cache.alloc_object(|| None) {
+        // Try without a new page first.
+        if let Some(gfn) = self.slab_mut(class).alloc_object(|| None) {
             return Ok(gfn);
         }
-        let (new_page, _) = self.alloc_page(page_type, heat, preference)?;
-        let cache = match class {
-            SlabClass::Skbuff => &mut self.skbuff,
-            SlabClass::FsMeta => &mut self.fs_meta,
-        };
-        let gfn = cache
+        let (new_page, _) = self.alloc_page(class.page_type(), heat, preference)?;
+        let gfn = self
+            .slab_mut(class)
             .alloc_object(|| Some(new_page))
             .expect("fresh page provided");
         debug_assert_eq!(gfn, new_page);
@@ -802,11 +935,7 @@ impl GuestKernel {
     /// Frees one object of a class without naming its page (round-trip
     /// request buffers). Returns `false` when the class holds no objects.
     pub fn slab_free_any(&mut self, class: SlabClass) -> bool {
-        let cache = match class {
-            SlabClass::Skbuff => &mut self.skbuff,
-            SlabClass::FsMeta => &mut self.fs_meta,
-        };
-        match cache.free_any_object() {
+        match self.slab_mut(class).free_any_object() {
             Some(Some(empty)) => {
                 self.free_page(empty);
                 true
@@ -819,12 +948,15 @@ impl GuestKernel {
     /// Allocates `n` kernel objects of one class in bulk — state-equivalent
     /// to `n` [`GuestKernel::slab_alloc`] calls with the same arguments
     /// (same pages carved in the same order, same allocation statistics,
-    /// same failure behaviour), but carving whole partial-slab chunks with
-    /// one map operation instead of two per object. Returns the number of
-    /// objects obtained. Once a fresh page cannot be had, the remaining
-    /// objects' failing attempts are accounted in one step
-    /// (`record_failed_allocs`), with the counters the scalar loop would
-    /// leave.
+    /// same failure behaviour). Returns the number of objects obtained.
+    ///
+    /// Partial slabs are carved a whole chunk per map operation. Once they
+    /// are used up, each fresh page takes `objects_per_page` objects (the
+    /// last one what is left), so the remaining `rest` objects need
+    /// `ceil(rest / objects_per_page)` fresh pages, which come from one run
+    /// along the chain (`raw_alloc_run`). When the run comes up short, each
+    /// object left without a page fails to get one, as
+    /// `record_failed_allocs` accounts.
     pub fn slab_alloc_bulk(
         &mut self,
         class: SlabClass,
@@ -832,42 +964,33 @@ impl GuestKernel {
         heat: u8,
         preference: &[MemKind],
     ) -> u64 {
-        let page_type = match class {
-            SlabClass::Skbuff => PageType::NetBuf,
-            SlabClass::FsMeta => PageType::Slab,
-        };
-        let mut done = 0u64;
-        while done < n {
-            let cache = match class {
-                SlabClass::Skbuff => &mut self.skbuff,
-                SlabClass::FsMeta => &mut self.fs_meta,
-            };
-            done += cache.alloc_from_partial(n - done);
-            if done >= n {
-                break;
-            }
-            // No partial room anywhere: grow the slab with a fresh page.
-            match self.alloc_page(page_type, heat, preference) {
-                Ok((new_page, _)) => {
-                    let cache = match class {
-                        SlabClass::Skbuff => &mut self.skbuff,
-                        SlabClass::FsMeta => &mut self.fs_meta,
-                    };
-                    let gfn = cache
-                        .alloc_object(|| Some(new_page))
-                        .expect("fresh page provided");
-                    debug_assert_eq!(gfn, new_page);
-                    done += 1;
-                }
-                Err(_) => {
-                    // The scalar loop's remaining `n - done - 1` objects
-                    // would each fail the same way.
-                    self.record_failed_allocs(page_type, preference, n - done - 1);
-                    return done;
-                }
-            }
+        let cache = self.slab_mut(class);
+        let carved = cache.alloc_from_partial(n);
+        if carved == n {
+            return n;
         }
-        done
+        let (rest, per_page) = (n - carved, u64::from(cache.objects_per_page()));
+        assert!(!preference.is_empty(), "preference list must be non-empty");
+        let page_type = class.page_type();
+        let mut pages = RUN_FRAMES.take();
+        pages.clear();
+        let got = self.raw_alloc_run(preference, rest.div_ceil(per_page), &mut pages);
+        let mut fast = 0;
+        for &gfn in &pages {
+            self.mm.set_allocated(gfn, page_type, heat);
+            // Slab and netbuf pages hold live objects: they start active.
+            self.lru.insert_active(&mut self.mm, gfn);
+            fast += u64::from(self.mm.kind_of(gfn) == MemKind::Fast);
+        }
+        let wanted_fast = preference[0] == MemKind::Fast;
+        self.stats.record_run(page_type, wanted_fast, fast, got);
+        let grown = rest.min(got * per_page);
+        self.slab_mut(class).grow(&pages, grown);
+        RUN_FRAMES.set(pages);
+        if grown < rest {
+            self.record_failed_allocs(page_type, preference, rest - grown);
+        }
+        carved + grown
     }
 
     /// Frees up to `n` objects of a class in bulk — state-equivalent to
@@ -877,11 +1000,7 @@ impl GuestKernel {
     pub fn slab_free_bulk(&mut self, class: SlabClass, n: u64) -> u64 {
         let mut done = 0u64;
         while done < n {
-            let cache = match class {
-                SlabClass::Skbuff => &mut self.skbuff,
-                SlabClass::FsMeta => &mut self.fs_meta,
-            };
-            let Some((freed, emptied)) = cache.free_any_chunk(n - done) else {
+            let Some((freed, emptied)) = self.slab_mut(class).free_any_chunk(n - done) else {
                 break;
             };
             done += freed;
@@ -890,6 +1009,13 @@ impl GuestKernel {
             }
         }
         done
+    }
+
+    fn slab_mut(&mut self, class: SlabClass) -> &mut SlabCache {
+        match class {
+            SlabClass::Skbuff => &mut self.skbuff,
+            SlabClass::FsMeta => &mut self.fs_meta,
+        }
     }
 
     /// Live objects in a slab class.
@@ -1235,7 +1361,7 @@ impl GuestKernel {
         let from = out.len();
         let got = self
             .pcp
-            .alloc_round_robin(kind, n, &mut self.next_cpu, buddy, out);
+            .alloc_round_robin(kind, n, 1, &mut self.next_cpu, buddy, out);
         for &gfn in &out[from..] {
             self.mm.set_allocated(gfn, PageType::Dma, 0); // pinned, unlisted
             self.mm.page_mut(gfn).flags.insert(PageFlags::BALLOONED);
@@ -1464,8 +1590,8 @@ impl GuestKernel {
 hetero_sim::impl_snap!(struct GuestConfig { frames, cpus, page_size });
 
 // Decode rejects LRU list ends and page-cache entries past the memmap,
-// and allocator state the page allocator trusts, which would otherwise
-// restore and then panic on first use.
+// allocator state the page allocator trusts and slab caches the slab
+// paths trust, which would otherwise restore and then panic on first use.
 hetero_sim::impl_snap!(struct GuestKernel {
     config, mm, buddies, pcp, lru, space, pt, cache, skbuff, fs_meta,
     stats, swap, ballooned, pt_backing, next_cpu, migrations
@@ -1473,7 +1599,8 @@ hetero_sim::impl_snap!(struct GuestKernel {
     let frames = k.mm.total_frames();
     k.lru.check_frames(frames)?;
     k.cache.check_frames(frames)?;
-    k.check_allocator()
+    k.check_allocator()?;
+    k.check_slabs()
 });
 
 impl GuestKernel {
@@ -1519,6 +1646,42 @@ impl GuestKernel {
             }
         }
         Ok(())
+    }
+
+    /// Decode check of the slab caches: each cache's counts and pages
+    /// (`SlabCache::check`), then each slab page owned by one cache only
+    /// and a present frame of its class's page type.
+    fn check_slabs(&self) -> Result<(), SnapshotError> {
+        let frames = self.mm.total_frames();
+        for class in [SlabClass::Skbuff, SlabClass::FsMeta] {
+            self.slab_cache(class)
+                .check(self.config.page_size as u32, frames)?;
+        }
+        let typed = |class: SlabClass, g: Gfn| {
+            let (p, page_type) = (self.mm.page(g), class.page_type());
+            if p.is_present() && p.page_type == page_type {
+                return Ok(());
+            }
+            Err(SnapshotError::corrupt(format!(
+                "{} slab page {g} is not a present {page_type} frame",
+                self.slab_cache(class).name()
+            )))
+        };
+        // Both caches list their pages in ascending order, so one merge of
+        // the two visits each page once and finds a shared one.
+        let mut skbuff = self.skbuff.backing_pages().peekable();
+        for g in self.fs_meta.backing_pages() {
+            while let Some(s) = skbuff.next_if(|&s| s < g) {
+                typed(SlabClass::Skbuff, s)?;
+            }
+            if skbuff.peek() == Some(&g) {
+                return Err(SnapshotError::corrupt(format!(
+                    "slab page {g} is owned by both the skbuff and the fs-meta cache"
+                )));
+            }
+            typed(SlabClass::FsMeta, g)?;
+        }
+        skbuff.try_for_each(|s| typed(SlabClass::Skbuff, s))
     }
 }
 
@@ -1779,6 +1942,116 @@ mod tests {
             (
                 set(ballooned_at + 8, 300),
                 "ballooned FastMem page gfn:0x12c is outside the tier's frames 0..64".to_string(),
+            ),
+        ];
+        for (mutant, want) in mutants {
+            match decode(&mutant) {
+                Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains(&want), "{want}: {msg}"),
+                other => panic!("{want}: {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    /// One mutant of the encoded kernel per slab-cache check made at
+    /// decode, each with the message it must be rejected with.
+    #[test]
+    fn decode_rejects_slab_caches_the_slab_paths_trust() {
+        let mut k = small_kernel();
+        let (vma, _) = k
+            .mmap_heap(4, std::iter::repeat(9), &[MemKind::Fast])
+            .unwrap();
+        let heap_page = k.page_table().translate(vma.start).unwrap();
+        assert_eq!(
+            k.slab_alloc_bulk(SlabClass::Skbuff, 20, 9, &[MemKind::Slow]),
+            20
+        );
+        assert_eq!(
+            k.slab_alloc_bulk(SlabClass::FsMeta, 40, 9, &[MemKind::Slow]),
+            40
+        );
+        assert_eq!(k.slab_free_bulk(SlabClass::FsMeta, 5), 5);
+        let bytes = encoded(&k);
+        assert_eq!(
+            encoded(&decode(&bytes).expect("the unmutated bytes restore")),
+            bytes
+        );
+        let skbuff = encoded_len(&k.config)
+            + encoded_len(&k.mm)
+            + encoded_len(&k.buddies)
+            + encoded_len(&k.pcp)
+            + encoded_len(&k.lru)
+            + encoded_len(&k.space)
+            + encoded_len(&k.pt)
+            + encoded_len(&k.cache);
+        // Per cache: its name (length and bytes), object size and objects
+        // per page (`u32`s), the slab map (length, then per slab its page
+        // and `u32` count), the object count and the two hint stacks.
+        let fs = skbuff + encoded_len(&k.skbuff);
+        let name = fs + 8 + "fs-meta".len();
+        let (size_at, per_page_at, slab) = (name, name + 4, |i: usize| name + 16 + 12 * i);
+        assert_eq!(read_u64(&bytes, name + 8), 3, "three fs-meta slabs");
+        let objects_at = slab(3);
+        let hint_at = objects_at + 16;
+        assert_eq!(read_u64(&bytes, objects_at), 35);
+        assert!(
+            read_u64(&bytes, hint_at - 8) > 0,
+            "fs-meta holds partial hints"
+        );
+        let skbuff_page = read_u64(&bytes, skbuff + 8 + "skbuff".len() + 16);
+        let free_frame = (0..320)
+            .find(|&g| !k.memmap().page(Gfn(g)).is_present())
+            .unwrap();
+        let set = |at: usize, v: u64| splice(&bytes, at, 8, &v.to_le_bytes());
+        let set32 = |at: usize, v: u32| splice(&bytes, at, 4, &v.to_le_bytes());
+        let first = Gfn(read_u64(&bytes, slab(0)));
+        let mutants = [
+            (
+                set32(per_page_at, 17),
+                "slab cache 'fs-meta' holds 17 objects of 256 B per 4096 B page".to_string(),
+            ),
+            (
+                set32(size_at, 0),
+                "slab cache 'fs-meta' holds 16 objects of 0 B per 4096 B page".to_string(),
+            ),
+            (
+                set32(slab(0) + 8, 0),
+                format!("slab cache 'fs-meta' page {first} holds 0 objects, outside 1..=16"),
+            ),
+            (
+                set32(slab(0) + 8, 17),
+                format!("slab cache 'fs-meta' page {first} holds 17 objects, outside 1..=16"),
+            ),
+            (
+                set(objects_at, 36),
+                "slab cache 'fs-meta' counts 36 objects, but its slabs hold 35".to_string(),
+            ),
+            (
+                set(slab(2), 100_000),
+                "slab cache 'fs-meta' names page gfn:0x186a0, past the memmap's 320 frames"
+                    .to_string(),
+            ),
+            (
+                set(hint_at, 100_000),
+                "slab cache 'fs-meta' names page gfn:0x186a0, past the memmap's 320 frames"
+                    .to_string(),
+            ),
+            (
+                set(slab(0), free_frame),
+                format!(
+                    "fs-meta slab page {} is not a present slab frame",
+                    Gfn(free_frame)
+                ),
+            ),
+            (
+                set(slab(0), heap_page.0),
+                format!("fs-meta slab page {heap_page} is not a present slab frame"),
+            ),
+            (
+                set(slab(0), skbuff_page),
+                format!(
+                    "slab page {} is owned by both the skbuff and the fs-meta cache",
+                    Gfn(skbuff_page)
+                ),
             ),
         ];
         for (mutant, want) in mutants {
@@ -2433,17 +2706,25 @@ mod tests {
         freed
     }
 
-    /// A Fast/Slow kernel (no Medium) with `cpus` CPUs in one of four
-    /// allocator states: `"pristine"` (just booted), `"fragmented"` (heap
-    /// pages allocated on both tiers and a random half freed, leaving
-    /// holes in the buddies and pages on per-CPU lists), `"leftover"` (a
-    /// few pages taken per CPU, so every list holds part of a refill) and
-    /// `"exhausted"` (both tiers allocated until they fail, then a few
-    /// pages freed onto the lists).
+    /// A Fast/Slow kernel (no Medium) of 700 and 1500 frames with `cpus`
+    /// CPUs in one of four allocator states: `"pristine"` (just booted),
+    /// `"fragmented"` (heap pages allocated on both tiers and a random half
+    /// freed, leaving holes in the buddies and pages on per-CPU lists),
+    /// `"leftover"` (a few pages taken per CPU, so every list holds part of
+    /// a refill) and `"exhausted"` (both tiers allocated until they fail,
+    /// then a few pages freed onto the lists).
     fn balloon_kernel(cpus: usize, state: &str, seed: u64) -> GuestKernel {
+        state_kernel(cpus, state, seed, [700, 1500])
+    }
+
+    /// [`balloon_kernel`] with `frames` FastMem and SlowMem frames, and one
+    /// state more: `"stranded"` allocates both tiers until they fail and
+    /// frees a random number of random pages, which stay on the per-CPU
+    /// lists while the buddies stay empty.
+    fn state_kernel(cpus: usize, state: &str, seed: u64, frames: [u64; 2]) -> GuestKernel {
         let mut rng = hetero_sim::SimRng::seed_from(seed);
         let mut k = GuestKernel::new(GuestConfig {
-            frames: vec![(MemKind::Fast, 700), (MemKind::Slow, 1500)],
+            frames: vec![(MemKind::Fast, frames[0]), (MemKind::Slow, frames[1])],
             cpus,
             page_size: 4096,
         });
@@ -2451,13 +2732,18 @@ mod tests {
         let mut held = Vec::new();
         let allocs = match state {
             "pristine" => 0,
-            "fragmented" => 1800,
+            "fragmented" => (frames[0] + frames[1]) * 9 / 11,
             "leftover" => 3 * cpus as u64 + 1,
-            "exhausted" => u64::MAX,
+            "exhausted" | "stranded" => u64::MAX,
             _ => panic!("unknown state {state}"),
         };
         for i in 0..allocs {
-            match k.alloc_page(PageType::HeapAnon, 9, chains[i as usize % 2]) {
+            let chain = if state == "stranded" {
+                0
+            } else {
+                i as usize % 2
+            };
+            match k.alloc_page(PageType::HeapAnon, 9, chains[chain]) {
                 Ok((gfn, _)) => held.push(gfn),
                 Err(_) => break,
             }
@@ -2465,6 +2751,7 @@ mod tests {
         let frees = match state {
             "fragmented" => held.len() / 2,
             "exhausted" => 5 * cpus,
+            "stranded" => rng.next_range(1, 24 * cpus as u64 + 1) as usize,
             _ => 0,
         };
         for _ in 0..frees {
@@ -2740,5 +3027,388 @@ mod tests {
         k.balloon_inflate(MemKind::Fast, 32);
         assert!((k.free_fraction(MemKind::Fast) - 0.5).abs() < 1e-12);
         assert_eq!(k.free_fraction(MemKind::Medium), 0.0);
+    }
+
+    /// `n` allocations along a chain, a page at a time: each call tries the
+    /// chain's tiers in order, each try on the next CPU, through
+    /// `PerCpuLists::alloc_draining_per_page` (list, refill, drain,
+    /// refill). Stops after the first call that fails. Returns the frames
+    /// taken.
+    fn chain_per_page(k: &mut GuestKernel, chain: &[MemKind], n: u64, out: &mut Vec<Gfn>) -> u64 {
+        for got in 0..n {
+            let page = chain.iter().find_map(|&kind| {
+                let cpu = k.next_cpu();
+                let buddy = k.buddies[kind].as_mut()?;
+                k.pcp.alloc_draining_per_page(cpu, kind, buddy)
+            });
+            let Some(gfn) = page else {
+                return got;
+            };
+            out.push(gfn);
+        }
+        n
+    }
+
+    /// `mmap_heap_collect` as it was before heap maps took their frames in
+    /// a run: a chain allocation and a descriptor write per page and, when
+    /// an allocation fails, a `free_page` of every frame taken.
+    fn mmap_heap_per_page(
+        k: &mut GuestKernel,
+        pages: u64,
+        heats: impl IntoIterator<Item = u8>,
+        chain: &[MemKind],
+        out: &mut Vec<Gfn>,
+    ) -> Result<(Vma, KindMap<u64>), AllocFailed> {
+        let failed = AllocFailed {
+            page_type: PageType::HeapAnon,
+        };
+        let vma = k
+            .space
+            .mmap(pages, VmaKind::Anon, None)
+            .map_err(|_| failed)?;
+        out.clear();
+        let (mut placed, mut heats) = (KindMap::default(), heats.into_iter());
+        let wanted_fast = chain.first() == Some(&MemKind::Fast);
+        for vpn in vma.start..vma.end() {
+            let heat = heats.next().unwrap_or(0);
+            let Some((gfn, kind)) = k.raw_alloc_chain(chain) else {
+                let taken = out.len() as u64;
+                k.lru.note_fresh_inserts(true, taken);
+                let fast = placed[MemKind::Fast];
+                k.stats
+                    .record_run(PageType::HeapAnon, wanted_fast, fast, taken);
+                k.stats.record(PageType::HeapAnon, wanted_fast, false);
+                for &gfn in out.iter() {
+                    k.free_page(gfn);
+                }
+                out.clear();
+                k.space.munmap(vma.start, vma.pages);
+                return Err(failed);
+            };
+            let list = k.lru.fresh_list_mut(kind, crate::lru::LruClass::Anon, true);
+            let next = list.peek_front();
+            let rmap = RMap::Anon(vpn);
+            k.mm.set_allocated_linked(gfn, PageType::HeapAnon, heat, true, next, rmap);
+            list.push_front_prelinked(&mut k.mm, gfn);
+            placed[kind] += 1;
+            out.push(gfn);
+        }
+        k.lru.note_fresh_inserts(true, pages);
+        let fast = placed[MemKind::Fast];
+        k.stats
+            .record_run(PageType::HeapAnon, wanted_fast, fast, pages);
+        k.pt.map_range(vma.start, out);
+        k.sync_pagetable_pages(chain);
+        Ok((vma, placed))
+    }
+
+    /// Chains of one to three tiers, MediumMem unconfigured in every
+    /// kernel the run tests build.
+    const RUN_CHAINS: [&[MemKind]; 6] = [
+        &[MemKind::Slow],
+        &[MemKind::Fast, MemKind::Slow],
+        &[MemKind::Slow, MemKind::Fast],
+        &[MemKind::Medium, MemKind::Slow],
+        &[MemKind::Fast, MemKind::Medium, MemKind::Slow],
+        &[MemKind::Fast, MemKind::Slow, MemKind::Medium],
+    ];
+
+    /// For every CPU count, allocator state and chain of the run tests:
+    /// the encoding of a [`state_kernel`] whose frames also served and
+    /// gave back file, slab and balloon pages (so free frames carry several
+    /// types), and the chain. Built once; each test decodes its two copies
+    /// from it.
+    fn run_kernels() -> &'static [RunKernel] {
+        static KERNELS: std::sync::OnceLock<Vec<RunKernel>> = std::sync::OnceLock::new();
+        KERNELS.get_or_init(build_run_kernels)
+    }
+
+    /// A run test's kernel: where it stands, its encoding and its chain.
+    type RunKernel = (String, Vec<u8>, &'static [MemKind]);
+
+    fn build_run_kernels() -> Vec<RunKernel> {
+        let mut rng = hetero_sim::SimRng::seed_from(29);
+        let mut out = Vec::new();
+        for cpus in [1, 2, 3, 16] {
+            for state in [
+                "pristine",
+                "fragmented",
+                "leftover",
+                "exhausted",
+                "stranded",
+            ] {
+                for chain in RUN_CHAINS {
+                    let mut k = state_kernel(cpus, state, rng.next_u64(), [300, 640]);
+                    // Pages of other types come and go first, as long as
+                    // the tiers hold free frames for them.
+                    if k.free_frames(MemKind::Slow) > 64 {
+                        let pref = [MemKind::Slow];
+                        k.page_in_many(FileId(9), 0, 24, 5, &pref);
+                        k.drop_cache_pages(FileId(9), (0..24).step_by(2));
+                        k.slab_alloc_bulk(SlabClass::Skbuff, 40, 5, &pref);
+                        k.slab_free_bulk(SlabClass::Skbuff, 40);
+                    }
+                    if k.free_frames(MemKind::Fast) > 32 {
+                        k.balloon_inflate(MemKind::Fast, 20);
+                        k.balloon_deflate(MemKind::Fast, 20);
+                    }
+                    let at = format!("{cpus} cpus, {state}, {chain:?}");
+                    out.push((at, encoded(&k), chain));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn chain_runs_leave_the_bytes_of_per_page_chain_allocations() {
+        let mut rng = hetero_sim::SimRng::seed_from(29);
+        for (at, bytes, chain) in run_kernels() {
+            let chain: &[MemKind] = chain;
+            let free = decode(bytes).unwrap().chain_free_frames(chain);
+            for n in [1, 2, 33, rng.next_range(1, free + 2), free, free + 1] {
+                let (mut run, mut single) = (decode(bytes).unwrap(), decode(bytes).unwrap());
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let taken = run.raw_alloc_run(chain, n, &mut got);
+                let wanted = chain_per_page(&mut single, chain, n, &mut want);
+                let at = format!("{at}, n {n} of {free} free");
+                assert_eq!((taken, &got), (wanted, &want), "{at}");
+                assert!(
+                    encoded(&run) == encoded(&single),
+                    "{at}: the encodings differ"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn heap_map_runs_leave_the_bytes_of_per_page_maps() {
+        let mut rng = hetero_sim::SimRng::seed_from(30);
+        for (at, bytes, chain) in run_kernels() {
+            let chain: &[MemKind] = chain;
+            let free = decode(bytes).unwrap().chain_free_frames(chain);
+            let sizes = [
+                1,
+                7,
+                rng.next_range(1, free + 60),
+                free.max(1) - 1,
+                free,
+                free + 1,
+                free + 50,
+            ];
+            for pages in sizes {
+                let (mut run, mut single) = (decode(bytes).unwrap(), decode(bytes).unwrap());
+                let (mut got, mut want) = (vec![Gfn(1)], vec![Gfn(1)]);
+                let heats = || (0..).map(|i: u64| (i * 37 % 256) as u8);
+                let at = format!("{at}, {pages} pages of {free} free");
+                assert_eq!(
+                    run.mmap_heap_collect(pages, heats(), chain, &mut got),
+                    mmap_heap_per_page(&mut single, pages, heats(), chain, &mut want),
+                    "{at}"
+                );
+                assert_eq!(got, want, "{at}");
+                assert!(
+                    encoded(&run) == encoded(&single),
+                    "{at}: the encodings differ"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn page_in_runs_leave_the_bytes_of_per_offset_page_ins() {
+        let mut rng = hetero_sim::SimRng::seed_from(31);
+        for (at, bytes, chain) in run_kernels() {
+            let chain: &[MemKind] = chain;
+            // Cached offsets among the misses, some of them inactive, so
+            // the hits' activations interleave with the misses' fills.
+            let mut base = decode(bytes).unwrap();
+            for file in [FileId(4), FileId(5)] {
+                for _ in 0..12 {
+                    let off = rng.next_range(0, 48);
+                    let got = if file == FileId(4) {
+                        base.page_in(file, off, 40, chain)
+                    } else {
+                        base.buffer_page_in(file, off, 40, chain)
+                    };
+                    if let (Ok((gfn, _)), true) = (got, rng.chance(0.5)) {
+                        base.io_complete(gfn);
+                    }
+                }
+            }
+            let bytes = encoded(&base);
+            let free = base.chain_free_frames(chain);
+            for count in [1, 5, 48, rng.next_range(1, free + 30), free + 20] {
+                for file in [FileId(4), FileId(5)] {
+                    let (mut run, mut single) = (decode(&bytes).unwrap(), decode(&bytes).unwrap());
+                    let first = rng.next_range(0, 20);
+                    let (got, want) = if file == FileId(4) {
+                        let want = (first..first + count)
+                            .filter(|&off| single.page_in(file, off, 90, chain).is_ok())
+                            .count();
+                        (run.page_in_many(file, first, count, 90, chain), want)
+                    } else {
+                        let want = (first..first + count)
+                            .filter(|&off| single.buffer_page_in(file, off, 90, chain).is_ok())
+                            .count();
+                        (run.buffer_page_in_many(file, first, count, 90, chain), want)
+                    };
+                    let at = format!("{at}, {file:?} from {first}, {count} of {free} free");
+                    assert_eq!(got, want as u64, "{at}");
+                    assert!(
+                        encoded(&run) == encoded(&single),
+                        "{at}: the encodings differ"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_growth_runs_leave_the_bytes_of_per_object_allocations() {
+        let mut rng = hetero_sim::SimRng::seed_from(32);
+        for (at, bytes, chain) in run_kernels() {
+            let chain: &[MemKind] = chain;
+            let free = decode(bytes).unwrap().chain_free_frames(chain);
+            for class in [SlabClass::Skbuff, SlabClass::FsMeta] {
+                // Partial slabs with hints to carve first.
+                let mut base = decode(bytes).unwrap();
+                base.slab_alloc_bulk(class, 70, 30, chain);
+                base.slab_free_bulk(class, 23);
+                let bytes = encoded(&base);
+                let per_page = u64::from(base.slab_cache(class).objects_per_page());
+                let ns = [
+                    1,
+                    per_page + 1,
+                    rng.next_range(1, 600),
+                    (free + 2) * per_page,
+                ];
+                // The per-object reference is slow on roomy kernels.
+                for n in ns.into_iter().filter(|&n| n <= 6000) {
+                    let (mut run, mut single) = (decode(&bytes).unwrap(), decode(&bytes).unwrap());
+                    let want = (0..n)
+                        .filter(|_| single.slab_alloc(class, 60, chain).is_ok())
+                        .count() as u64;
+                    let at = format!("{at}, {class:?}, n {n} of {free} free pages");
+                    assert_eq!(run.slab_alloc_bulk(class, n, 60, chain), want, "{at}");
+                    assert!(
+                        encoded(&run) == encoded(&single),
+                        "{at}: the encodings differ"
+                    );
+                }
+            }
+        }
+    }
+
+    /// FNV-1a of a byte string.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// A seeded sequence of heap maps, unmaps, page-in runs with cached
+    /// offsets among the misses, cache drops, slab growth and frees and
+    /// balloon inflations and deflations on a small Fast/Slow kernel, along
+    /// chains of one to three tiers (Medium unconfigured). Memory runs
+    /// tight, so heap maps often ask for more frames than their chain has
+    /// free and fail. Returns the kernel and the count of failed maps.
+    fn doomed_heap_sequence(cpus: usize, seed: u64) -> (GuestKernel, u64) {
+        let mut rng = hetero_sim::SimRng::seed_from(seed);
+        let mut k = GuestKernel::new(GuestConfig {
+            frames: vec![(MemKind::Fast, 300), (MemKind::Slow, 700)],
+            cpus,
+            page_size: 4096,
+        });
+        let chains: [&[MemKind]; 4] = [
+            &[MemKind::Fast, MemKind::Slow],
+            &[MemKind::Slow],
+            &[MemKind::Fast, MemKind::Medium, MemKind::Slow],
+            &[MemKind::Fast],
+        ];
+        let (mut vmas, mut doomed) = (Vec::new(), 0);
+        for step in 0..400u64 {
+            let chain = chains[rng.next_range(0, 4) as usize];
+            let heat = rng.next_range(0, 256) as u8;
+            let n = rng.next_range(1, 80);
+            let off = rng.next_range(0, 500);
+            let file = FileId(1 + rng.next_range(0, 2));
+            let class = [SlabClass::FsMeta, SlabClass::Skbuff][rng.next_range(0, 2) as usize];
+            let kind = [MemKind::Fast, MemKind::Slow][rng.next_range(0, 2) as usize];
+            match rng.next_range(0, 9) {
+                0 | 1 => {
+                    let free: u64 = [MemKind::Fast, MemKind::Medium, MemKind::Slow]
+                        .into_iter()
+                        .filter(|kind| chain.contains(kind))
+                        .map(|kind| k.free_frames(kind))
+                        .sum();
+                    let pages = rng.next_range(1, free + 40);
+                    let heats = (step..).map(|i| (i * 37 % 256) as u8);
+                    match k.mmap_heap(pages, heats, chain) {
+                        Ok((vma, _)) => vmas.push(vma),
+                        Err(_) => doomed += 1,
+                    }
+                }
+                2 if !vmas.is_empty() => {
+                    let vma = vmas.swap_remove(rng.next_range(0, vmas.len() as u64) as usize);
+                    k.munmap(vma.start, vma.pages);
+                }
+                3 if file == FileId(1) => {
+                    k.page_in_many(file, off, n, heat, chain);
+                }
+                3 => {
+                    k.buffer_page_in_many(file, off, n, heat, chain);
+                }
+                4 => {
+                    k.drop_cache_pages(file, off..off + n);
+                }
+                5 => {
+                    k.slab_alloc_bulk(class, n * 8, heat, chain);
+                }
+                6 => {
+                    k.slab_free_bulk(class, n * 6);
+                }
+                7 => {
+                    k.balloon_inflate(kind, n);
+                }
+                _ => {
+                    k.balloon_deflate(kind, n);
+                }
+            }
+        }
+        (k, doomed)
+    }
+
+    /// Digests of [`doomed_heap_sequence`]'s encoded kernel per CPU count
+    /// and seed, with its failed heap maps, recorded before heap maps,
+    /// page-in runs and slab growth took their frames in runs. A failed
+    /// map leaves its frames typed as heap pages, which the memmap
+    /// encodes, and the per-CPU lists and buddies as its round trip left
+    /// them.
+    const DOOMED_HEAP_DIGESTS: [(usize, u64, u64, u64); 8] = [
+        (1, 1, 45, 0xe7f8_6aa9_6176_05e1),
+        (1, 2, 43, 0x10da_3ed2_4446_7b12),
+        (2, 1, 45, 0xb857_46a2_4bdb_6bf7),
+        (2, 2, 43, 0x8c6a_f1c1_d64b_9cdb),
+        (3, 1, 45, 0x32a8_3079_f35e_6a6c),
+        (3, 2, 43, 0xd24e_7144_7f42_e3ae),
+        (16, 1, 45, 0xef24_b6d0_ab60_8eae),
+        (16, 2, 43, 0xb762_a9d4_344b_8997),
+    ];
+
+    #[test]
+    fn doomed_heap_sequences_hold_their_digests() {
+        let mut moved = Vec::new();
+        for (cpus, seed, doomed, digest) in DOOMED_HEAP_DIGESTS {
+            let (k, failed) = doomed_heap_sequence(cpus, seed);
+            let got = (failed, fnv1a(&encoded(&k)));
+            if got != (doomed, digest) {
+                moved.push(format!(
+                    "        ({cpus}, {seed}, {}, {:#018x}),",
+                    got.0, got.1
+                ));
+            }
+        }
+        assert!(moved.is_empty(), "digests moved:\n{}", moved.join("\n"));
     }
 }

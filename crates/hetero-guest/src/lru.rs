@@ -274,6 +274,12 @@ impl LruRegistry {
         }
     }
 
+    /// Transition accounting for `n` [`LruRegistry::remove`] calls of
+    /// listed pages whose list moves are accounted elsewhere.
+    pub(crate) fn note_removals(&mut self, n: u64) {
+        self.transitions.removals += n;
+    }
+
     /// Transition accounting for the fused miss path of a file fault: the
     /// page is born inactive and immediately activated by the I/O filling
     /// it, so a direct active-list insert must tally both transitions.

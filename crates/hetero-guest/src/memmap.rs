@@ -347,6 +347,20 @@ impl MemMap {
         r.write_heat -= write_heat as u64;
     }
 
+    /// Sets the type a free frame keeps ([`MemMap::set_free`] leaves a
+    /// frame's type as it was) and returns the frame's tier. A free frame
+    /// is in no residency count, so nothing else changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is present.
+    pub(crate) fn set_free_type(&mut self, gfn: Gfn, page_type: PageType) -> MemKind {
+        let p = &mut self.pages[gfn.index()];
+        assert!(!p.is_present(), "{gfn} is allocated");
+        p.page_type = page_type;
+        p.kind
+    }
+
     /// Updates a present page's heat, keeping accounting in sync.
     ///
     /// # Panics

@@ -170,10 +170,10 @@ impl PerCpuLists {
     }
 
     /// Allocates up to `n` pages of a tier with one
-    /// [`PerCpuLists::alloc_draining`] call per page, the CPUs taken in
-    /// turn from `*cpu` (left on the CPU after the last call), and appends
-    /// them to `out`. Stops after the first call that finds no page; that
-    /// call's CPU is taken too. Returns the pages obtained.
+    /// [`PerCpuLists::alloc_draining`] call per page, on every `stride`-th
+    /// CPU from `*cpu` (left `stride` CPUs past the last call's), and
+    /// appends them to `out`. Stops after the first call that finds no
+    /// page; that call's CPU is taken too. Returns the pages obtained.
     ///
     /// The calls that drain and refill once the buddy is dry run as whole
     /// cycles ([`PerCpuLists::drain_cycles`]), not page by page.
@@ -185,12 +185,14 @@ impl PerCpuLists {
         &mut self,
         kind: MemKind,
         n: u64,
+        stride: usize,
         cpu: &mut usize,
         buddy: &mut BuddyAllocator,
         out: &mut Vec<Gfn>,
     ) -> u64 {
         let cpus = self.lists.len();
-        let step = |c: usize| if c + 1 == cpus { 0 } else { c + 1 };
+        let s = stride % cpus;
+        let step = |c: usize| if c + s >= cpus { c + s - cpus } else { c + s };
         let mut got = 0;
         while got < n {
             let mut c = *cpu;
@@ -203,7 +205,7 @@ impl PerCpuLists {
                 }
                 None => {
                     if buddy.free_frames() == 0 {
-                        let (taken, next) = self.drain_cycles(kind, c, n - got, buddy, out);
+                        let (taken, next) = self.drain_cycles(kind, c, stride, n - got, buddy, out);
                         got += taken;
                         if got == n {
                             *cpu = next;
@@ -224,41 +226,45 @@ impl PerCpuLists {
         got
     }
 
-    /// The allocations from `cpu` on while the tier's buddy is dry and
-    /// `cpu`'s list is empty, in whole drain-and-refill cycles, up to
-    /// `left` pages, appended to `out`. Returns the pages taken and the CPU
-    /// of the next allocation.
+    /// The allocations on every `stride`-th CPU from `cpu` on while the
+    /// tier's buddy is dry and `cpu`'s list is empty, in whole
+    /// drain-and-refill cycles, up to `left` pages, appended to `out`.
+    /// Returns the pages taken and the CPU of the next allocation.
     ///
     /// Page by page, that allocation drains every list into the buddy and
-    /// refills `cpu`'s; the next CPUs, whose lists the drain emptied,
-    /// refill from the buddy in turn, each popping its refill's last page,
-    /// until the buddy is dry again and the next CPU drains once more. When
-    /// the stranded pages fill fewer refills than there are CPUs, each
-    /// cycle is one [`BuddyAllocator::free_and_retake`] of them: the CPUs
-    /// take the returned sequence in refills of `batch` and pop the last
-    /// page of each, and the rest is stranded for the next cycle. A cycle
-    /// that would pass `left`, or more stranded pages than that, is left to
-    /// the page-at-a-time path, untouched.
+    /// refills `cpu`'s; the next CPUs of the stride's orbit (the
+    /// `cpus / gcd(stride, cpus)` CPUs it visits), whose lists the drain
+    /// emptied, refill from the buddy in turn, each popping its refill's
+    /// last page, until the buddy is dry again and the next CPU drains once
+    /// more. When the stranded pages fill fewer refills than the orbit has
+    /// CPUs, no CPU refills twice in a cycle, and each cycle is one
+    /// [`BuddyAllocator::free_and_retake`] of them: the CPUs take the
+    /// returned sequence in refills of `batch` and pop the last page of
+    /// each, and the rest is stranded for the next cycle. A cycle that
+    /// would pass `left`, or more stranded pages than that, is left to the
+    /// page-at-a-time path, untouched.
     fn drain_cycles(
         &mut self,
         kind: MemKind,
         mut cpu: usize,
+        stride: usize,
         left: u64,
         buddy: &mut BuddyAllocator,
         out: &mut Vec<Gfn>,
     ) -> (u64, usize) {
         let (cpus, batch) = (self.lists.len(), self.batch);
+        let orbit = cpus / gcd(stride, cpus);
         let stranded = self.cached_total(kind);
         let fits = |pages: usize, left: u64| pages.div_ceil(batch) as u64 <= left;
         if stranded == 0
             || batch == 0
-            || stranded > batch.saturating_mul(cpus - 1)
+            || stranded > batch.saturating_mul(orbit - 1)
             || !fits(stranded, left)
         {
             return (0, cpu);
         }
         let mut pages = self.take_stranded(kind, stranded);
-        let (mut seq, mut popped) = (Vec::with_capacity(stranded), Vec::with_capacity(cpus));
+        let (mut seq, mut popped) = (Vec::with_capacity(stranded), Vec::with_capacity(orbit));
         let (mut taken, mut start) = (0, cpu);
         while !pages.is_empty() && fits(pages.len(), left - taken) {
             let refills = pages.len().div_ceil(batch);
@@ -274,12 +280,13 @@ impl PerCpuLists {
             self.refills += 1 + refills as u64;
             taken += refills as u64;
             start = cpu;
-            cpu = (cpu + refills) % cpus;
+            cpu = (cpu + refills * stride) % cpus;
         }
         // The last cycle's refills, less the page each popped, stay on
         // their CPUs' lists.
         for (j, refill) in seq.chunks(batch).enumerate() {
-            self.lists[(start + j) % cpus][kind].extend_from_slice(&refill[..refill.len() - 1]);
+            self.lists[(start + j * stride) % cpus][kind]
+                .extend_from_slice(&refill[..refill.len() - 1]);
         }
         (taken, cpu)
     }
@@ -342,6 +349,15 @@ impl PerCpuLists {
             }
         }
         Ok(())
+    }
+}
+
+/// Greatest common divisor.
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
 }
 
@@ -560,7 +576,9 @@ mod tests {
     fn round_robin_tail_leaves_the_bytes_of_per_page_allocations() {
         let mut rng = SimRng::seed_from(26);
         for case in 0..400 {
-            let cpus = [2, 3, 5, 16][case % 4];
+            // Every stride from 1 to 4 on each CPU count: orbits of every
+            // CPU, of some and of one.
+            let (cpus, stride) = ([2, 3, 5, 16][case % 4], case / 4 % 4 + 1);
             let (pcp, buddy, cpu) = stranded(&mut rng, cpus);
             let pages = pcp.cached_total(MemKind::Slow) as u64;
             for n in [
@@ -577,6 +595,7 @@ mod tests {
                 let k = bulk.alloc_round_robin(
                     MemKind::Slow,
                     n,
+                    stride,
                     &mut bulk_cpu,
                     &mut bulk_buddy,
                     &mut got,
@@ -586,13 +605,14 @@ mod tests {
                 let mut want = Vec::new();
                 for _ in 0..n {
                     let c = single_cpu;
-                    single_cpu = (c + 1) % cpus;
+                    single_cpu = (c + stride) % cpus;
                     match single.alloc_draining_per_page(c, MemKind::Slow, &mut single_buddy) {
                         Some(g) => want.push(g),
                         None => break,
                     }
                 }
-                let at = format!("case {case}: {cpus} cpus, {pages} stranded, n {n}");
+                let at =
+                    format!("case {case}: {cpus} cpus, stride {stride}, {pages} stranded, n {n}");
                 assert_eq!(
                     (k, &got, bulk_cpu),
                     (want.len() as u64, &want, single_cpu),

@@ -9,7 +9,80 @@
 
 use std::collections::BTreeMap;
 
+use hetero_sim::snap::{Snap, SnapReader, SnapWriter, SnapshotError};
+
 use crate::page::Gfn;
+
+/// A LIFO stack of page hints, kept as runs of one page: `(page, count)`
+/// stands for `count` consecutive entries naming `page`. A freed object
+/// pushes one hint, so the stacks hold long runs of a page, and a run
+/// whose page went stale pops after one look.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct HintStack {
+    runs: Vec<(Gfn, u64)>,
+}
+
+impl HintStack {
+    /// The page on top.
+    fn top(&self) -> Option<Gfn> {
+        self.runs.last().map(|&(g, _)| g)
+    }
+
+    /// Pushes `count` entries naming `page`.
+    fn push(&mut self, page: Gfn, count: u64) {
+        if count == 0 {
+            return;
+        }
+        match self.runs.last_mut() {
+            Some((top, n)) if *top == page => *n += count,
+            _ => self.runs.push((page, count)),
+        }
+    }
+
+    /// Pops the top entry.
+    fn pop(&mut self) {
+        let (_, n) = self.runs.last_mut().expect("the stack holds a hint");
+        *n -= 1;
+        if *n == 0 {
+            self.runs.pop();
+        }
+    }
+
+    /// Pops the top run: when its page is stale, so is each of its
+    /// entries, and per-entry pops would take them all.
+    fn pop_run(&mut self) {
+        self.runs.pop();
+    }
+
+    /// The pages the stack names, each run once.
+    fn pages(&self) -> impl Iterator<Item = Gfn> + '_ {
+        self.runs.iter().map(|&(g, _)| g)
+    }
+}
+
+/// Encoded as the expanded stack, one entry per hint, bottom first: the
+/// `Vec<Gfn>` the stack was before it kept runs. Decoding folds
+/// consecutive repeats.
+impl Snap for HintStack {
+    fn snap(&self, w: &mut SnapWriter) {
+        let len: u64 = self.runs.iter().map(|&(_, n)| n).sum();
+        len.snap(w);
+        for &(g, n) in &self.runs {
+            for _ in 0..n {
+                g.snap(w);
+            }
+        }
+    }
+
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+        let entries = Vec::<Gfn>::unsnap(r)?;
+        let folded = || (entries.chunk_by(|a, b| a == b)).map(|run| (run[0], run.len() as u64));
+        // Counted first, so the runs take one allocation of their size.
+        let mut runs = Vec::with_capacity(folded().count());
+        runs.extend(folded());
+        Ok(HintStack { runs })
+    }
+}
 
 /// A cache of fixed-size kernel objects.
 ///
@@ -39,11 +112,11 @@ pub struct SlabCache {
     /// LIFO hint stack of pages that may have free slots. Entries are
     /// validated lazily on pop (stale or full entries are skipped), keeping
     /// allocation O(1) amortised.
-    partial_hint: Vec<Gfn>,
+    partial_hint: HintStack,
     /// LIFO hint stack of pages that may hold live objects (for
     /// [`SlabCache::free_any_object`]); lazily validated like
     /// `partial_hint`.
-    page_hint: Vec<Gfn>,
+    page_hint: HintStack,
     /// Cumulative objects ever allocated (telemetry).
     total_allocs: u64,
     /// Cumulative objects ever freed (telemetry).
@@ -69,8 +142,8 @@ impl SlabCache {
             objects_per_page: page_size / object_size,
             slabs: BTreeMap::new(),
             objects: 0,
-            partial_hint: Vec::new(),
-            page_hint: Vec::new(),
+            partial_hint: HintStack::default(),
+            page_hint: HintStack::default(),
             total_allocs: 0,
             total_frees: 0,
         }
@@ -84,6 +157,11 @@ impl SlabCache {
     /// Object size in bytes.
     pub fn object_size(&self) -> u32 {
         self.object_size
+    }
+
+    /// Objects that fit one backing page.
+    pub(crate) fn objects_per_page(&self) -> u32 {
+        self.objects_per_page
     }
 
     /// Objects currently live.
@@ -106,24 +184,23 @@ impl SlabCache {
         self.total_frees
     }
 
+    /// The top partial hint that names a page with a free slot, after
+    /// popping the stale runs above it.
+    fn partial_page(&mut self) -> Option<Gfn> {
+        while let Some(g) = self.partial_hint.top() {
+            match self.slabs.get(&g) {
+                Some(&used) if used < self.objects_per_page => return Some(g),
+                _ => self.partial_hint.pop_run(),
+            }
+        }
+        None
+    }
+
     /// Allocates one object. If every slab is full, `get_page` is called to
     /// obtain a fresh backing page. Returns the page the object lives on,
     /// or `None` when a new page was needed but unavailable.
     pub fn alloc_object(&mut self, get_page: impl FnOnce() -> Option<Gfn>) -> Option<Gfn> {
-        // Pop partial-slab hints until a valid one surfaces.
-        let mut page = None;
-        while let Some(&g) = self.partial_hint.last() {
-            match self.slabs.get(&g) {
-                Some(&used) if used < self.objects_per_page => {
-                    page = Some(g);
-                    break;
-                }
-                _ => {
-                    self.partial_hint.pop();
-                }
-            }
-        }
-        let page = match page {
+        let page = match self.partial_page() {
             Some(g) => g,
             None => {
                 let g = get_page()?;
@@ -132,8 +209,8 @@ impl SlabCache {
                     "page {g} already owned by this cache"
                 );
                 self.slabs.insert(g, 0);
-                self.page_hint.push(g);
-                self.partial_hint.push(g);
+                self.page_hint.push(g, 1);
+                self.partial_hint.push(g, 1);
                 g
             }
         };
@@ -141,7 +218,7 @@ impl SlabCache {
         *used += 1;
         if *used >= self.objects_per_page {
             // No longer partial; drop the hint if it is on top.
-            if self.partial_hint.last() == Some(&page) {
+            if self.partial_hint.top() == Some(page) {
                 self.partial_hint.pop();
             }
         }
@@ -159,19 +236,7 @@ impl SlabCache {
     pub fn alloc_from_partial(&mut self, max: u64) -> u64 {
         let mut done = 0u64;
         while done < max {
-            // Pop stale hints exactly as the scalar path would.
-            let page = loop {
-                match self.partial_hint.last() {
-                    Some(&g) => match self.slabs.get(&g) {
-                        Some(&used) if used < self.objects_per_page => break Some(g),
-                        _ => {
-                            self.partial_hint.pop();
-                        }
-                    },
-                    None => break None,
-                }
-            };
-            let Some(page) = page else {
+            let Some(page) = self.partial_page() else {
                 return done;
             };
             let used = self.slabs.get_mut(&page).expect("validated above");
@@ -189,6 +254,38 @@ impl SlabCache {
         done
     }
 
+    /// Adds fresh backing pages, in order, and carves `objects` objects
+    /// out of them, each page filled before the next: state-equivalent to
+    /// [`SlabCache::alloc_object`] with each page as the fresh page,
+    /// followed by [`SlabCache::alloc_from_partial`], page by page, once
+    /// no partial slab is left. Only the last page may stay partial.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `objects` objects need exactly `pages.len()` pages.
+    pub(crate) fn grow(&mut self, pages: &[Gfn], objects: u64) {
+        let per_page = u64::from(self.objects_per_page);
+        assert_eq!(
+            objects.div_ceil(per_page),
+            pages.len() as u64,
+            "{objects} objects do not fill {} fresh pages",
+            pages.len()
+        );
+        let mut left = objects;
+        for &g in pages {
+            let used = left.min(per_page);
+            let prev = self.slabs.insert(g, used as u32);
+            debug_assert!(prev.is_none(), "page {g} already owned by this cache");
+            self.page_hint.push(g, 1);
+            if used < per_page {
+                self.partial_hint.push(g, 1);
+            }
+            left -= used;
+        }
+        self.objects += objects;
+        self.total_allocs += objects;
+    }
+
     /// Frees up to `max` objects from the most recently used slab — the top
     /// valid `page_hint` entry — exactly as repeated
     /// [`SlabCache::free_any_object`] calls would until that slab empties or
@@ -197,18 +294,7 @@ impl SlabCache {
     /// `None` when the cache holds no objects.
     pub fn free_any_chunk(&mut self, max: u64) -> Option<(u64, Option<Gfn>)> {
         debug_assert!(max > 0, "chunk size must be non-zero");
-        let page = loop {
-            match self.page_hint.last() {
-                Some(&g) if self.slabs.contains_key(&g) => break g,
-                Some(_) => {
-                    self.page_hint.pop();
-                }
-                None => {
-                    debug_assert_eq!(self.objects, 0, "live objects must be reachable");
-                    return None;
-                }
-            }
-        };
+        let page = self.live_page()?;
         let used = self.slabs.get_mut(&page).expect("validated above");
         let take = (*used as u64).min(max);
         *used -= take as u32;
@@ -218,16 +304,25 @@ impl SlabCache {
         if emptied {
             self.slabs.remove(&page);
             // Scalar frees push one partial hint per *non-emptying* free.
-            for _ in 0..take.saturating_sub(1) {
-                self.partial_hint.push(page);
-            }
+            self.partial_hint.push(page, take.saturating_sub(1));
             Some((take, Some(page)))
         } else {
-            for _ in 0..take {
-                self.partial_hint.push(page);
-            }
+            self.partial_hint.push(page, take);
             Some((take, None))
         }
+    }
+
+    /// The top page hint that names a live slab, after popping the stale
+    /// runs above it; `None` when the cache holds no objects.
+    fn live_page(&mut self) -> Option<Gfn> {
+        while let Some(g) = self.page_hint.top() {
+            if self.slabs.contains_key(&g) {
+                return Some(g);
+            }
+            self.page_hint.pop_run();
+        }
+        debug_assert_eq!(self.objects, 0, "live objects must be reachable");
+        None
     }
 
     /// Frees one object that lives on `page`. Returns `Some(page)` when the
@@ -251,7 +346,7 @@ impl SlabCache {
             Some(page)
         } else {
             // The page now has a free slot; hint the allocator.
-            self.partial_hint.push(page);
+            self.partial_hint.push(page, 1);
             None
         }
     }
@@ -261,14 +356,8 @@ impl SlabCache {
     /// the most recently used slab (LIFO), matching short-lived kernel
     /// buffer churn. Returns the page to release when a slab empties.
     pub fn free_any_object(&mut self) -> Option<Option<Gfn>> {
-        while let Some(&g) = self.page_hint.last() {
-            if self.slabs.contains_key(&g) {
-                return Some(self.free_object(g));
-            }
-            self.page_hint.pop();
-        }
-        debug_assert_eq!(self.objects, 0, "live objects must be reachable");
-        None
+        let page = self.live_page()?;
+        Some(self.free_object(page))
     }
 
     /// Moves a slab's bookkeeping from `old` to `new` (page migration).
@@ -282,9 +371,9 @@ impl SlabCache {
             .remove(&old)
             .unwrap_or_else(|| panic!("{old} is not a slab of cache '{}'", self.name));
         self.slabs.insert(new, used);
-        self.page_hint.push(new);
+        self.page_hint.push(new, 1);
         if used < self.objects_per_page {
-            self.partial_hint.push(new);
+            self.partial_hint.push(new, 1);
         }
     }
 
@@ -314,10 +403,55 @@ impl SlabCache {
     pub fn backing_pages(&self) -> impl Iterator<Item = Gfn> + '_ {
         self.slabs.keys().copied()
     }
+
+    /// Restore-time check of the cache against the page size it was built
+    /// for and the memmap's `frames` frames: `objects_per_page` is
+    /// `page_size / object_size` and at least 1, every slab holds 1 to
+    /// `objects_per_page` objects, `objects` is their sum, and every slab
+    /// and hinted page is one of the frames.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] naming the first check that fails.
+    pub(crate) fn check(&self, page_size: u32, frames: u64) -> Result<(), SnapshotError> {
+        let (name, per_page) = (self.name, self.objects_per_page);
+        let fits = page_size.checked_div(self.object_size);
+        if per_page == 0 || fits != Some(per_page) {
+            return Err(SnapshotError::corrupt(format!(
+                "slab cache '{name}' holds {per_page} objects of {} B per {page_size} B page",
+                self.object_size
+            )));
+        }
+        let mut sum = 0;
+        for (g, &used) in &self.slabs {
+            if used == 0 || used > per_page {
+                return Err(SnapshotError::corrupt(format!(
+                    "slab cache '{name}' page {g} holds {used} objects, outside 1..={per_page}"
+                )));
+            }
+            sum += u64::from(used);
+        }
+        if sum != self.objects {
+            return Err(SnapshotError::corrupt(format!(
+                "slab cache '{name}' counts {} objects, but its slabs hold {sum}",
+                self.objects
+            )));
+        }
+        // The slab map is ordered: its last page is its highest.
+        let mut pages = (self.slabs.keys().next_back().copied().into_iter())
+            .chain(self.partial_hint.pages())
+            .chain(self.page_hint.pages());
+        if let Some(g) = pages.find(|g| g.0 >= frames) {
+            return Err(SnapshotError::corrupt(format!(
+                "slab cache '{name}' names page {g}, past the memmap's {frames} frames"
+            )));
+        }
+        Ok(())
+    }
 }
 
-impl hetero_sim::snap::Snap for SlabCache {
-    fn snap(&self, w: &mut hetero_sim::snap::SnapWriter) {
+impl Snap for SlabCache {
+    fn snap(&self, w: &mut SnapWriter) {
         w.put_str(self.name);
         self.object_size.snap(w);
         self.objects_per_page.snap(w);
@@ -328,10 +462,7 @@ impl hetero_sim::snap::Snap for SlabCache {
         self.total_allocs.snap(w);
         self.total_frees.snap(w);
     }
-    fn unsnap(
-        r: &mut hetero_sim::snap::SnapReader<'_>,
-    ) -> Result<Self, hetero_sim::snap::SnapshotError> {
-        use hetero_sim::snap::Snap;
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         // The class name normally points into rodata; intern the restored
         // copy (the two well-known classes map back to their literals).
         let name = match r.take_string()?.as_str() {
@@ -356,12 +487,298 @@ impl hetero_sim::snap::Snap for SlabCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetero_sim::rng::SimRng;
 
     fn pages_from(start: u64) -> impl FnMut() -> Option<Gfn> {
         let mut next = start;
         move || {
             next += 1;
             Some(Gfn(next - 1))
+        }
+    }
+
+    /// The cache as it was before its hint stacks kept runs: one `Vec`
+    /// entry per hint, popped one entry and one map lookup at a time.
+    struct VecSlab {
+        name: &'static str,
+        object_size: u32,
+        objects_per_page: u32,
+        slabs: BTreeMap<Gfn, u32>,
+        objects: u64,
+        partial_hint: Vec<Gfn>,
+        page_hint: Vec<Gfn>,
+        total_allocs: u64,
+        total_frees: u64,
+    }
+
+    impl VecSlab {
+        fn new(name: &'static str, object_size: u32, page_size: u32) -> Self {
+            VecSlab {
+                name,
+                object_size,
+                objects_per_page: page_size / object_size,
+                slabs: BTreeMap::new(),
+                objects: 0,
+                partial_hint: Vec::new(),
+                page_hint: Vec::new(),
+                total_allocs: 0,
+                total_frees: 0,
+            }
+        }
+
+        fn alloc_object(&mut self, get_page: impl FnOnce() -> Option<Gfn>) -> Option<Gfn> {
+            let mut page = None;
+            while let Some(&g) = self.partial_hint.last() {
+                match self.slabs.get(&g) {
+                    Some(&used) if used < self.objects_per_page => {
+                        page = Some(g);
+                        break;
+                    }
+                    _ => {
+                        self.partial_hint.pop();
+                    }
+                }
+            }
+            let page = match page {
+                Some(g) => g,
+                None => {
+                    let g = get_page()?;
+                    self.slabs.insert(g, 0);
+                    self.page_hint.push(g);
+                    self.partial_hint.push(g);
+                    g
+                }
+            };
+            let used = self.slabs.get_mut(&page).unwrap();
+            *used += 1;
+            if *used >= self.objects_per_page && self.partial_hint.last() == Some(&page) {
+                self.partial_hint.pop();
+            }
+            self.objects += 1;
+            self.total_allocs += 1;
+            Some(page)
+        }
+
+        fn alloc_from_partial(&mut self, max: u64) -> u64 {
+            let mut done = 0u64;
+            while done < max {
+                let page = loop {
+                    match self.partial_hint.last() {
+                        Some(&g) => match self.slabs.get(&g) {
+                            Some(&used) if used < self.objects_per_page => break Some(g),
+                            _ => {
+                                self.partial_hint.pop();
+                            }
+                        },
+                        None => break None,
+                    }
+                };
+                let Some(page) = page else {
+                    return done;
+                };
+                let used = self.slabs.get_mut(&page).unwrap();
+                let take = ((self.objects_per_page - *used) as u64).min(max - done);
+                *used += take as u32;
+                if *used >= self.objects_per_page {
+                    self.partial_hint.pop();
+                }
+                self.objects += take;
+                self.total_allocs += take;
+                done += take;
+            }
+            done
+        }
+
+        fn free_any_chunk(&mut self, max: u64) -> Option<(u64, Option<Gfn>)> {
+            let page = loop {
+                match self.page_hint.last() {
+                    Some(&g) if self.slabs.contains_key(&g) => break g,
+                    Some(_) => {
+                        self.page_hint.pop();
+                    }
+                    None => return None,
+                }
+            };
+            let used = self.slabs.get_mut(&page).unwrap();
+            let take = (*used as u64).min(max);
+            *used -= take as u32;
+            let emptied = *used == 0;
+            self.objects -= take;
+            self.total_frees += take;
+            if emptied {
+                self.slabs.remove(&page);
+                for _ in 0..take.saturating_sub(1) {
+                    self.partial_hint.push(page);
+                }
+                Some((take, Some(page)))
+            } else {
+                for _ in 0..take {
+                    self.partial_hint.push(page);
+                }
+                Some((take, None))
+            }
+        }
+
+        fn free_object(&mut self, page: Gfn) -> Option<Gfn> {
+            let used = self.slabs.get_mut(&page).unwrap();
+            *used -= 1;
+            self.objects -= 1;
+            self.total_frees += 1;
+            if *used == 0 {
+                self.slabs.remove(&page);
+                Some(page)
+            } else {
+                self.partial_hint.push(page);
+                None
+            }
+        }
+
+        fn free_any_object(&mut self) -> Option<Option<Gfn>> {
+            while let Some(&g) = self.page_hint.last() {
+                if self.slabs.contains_key(&g) {
+                    return Some(self.free_object(g));
+                }
+                self.page_hint.pop();
+            }
+            None
+        }
+
+        fn rehome(&mut self, old: Gfn, new: Gfn) {
+            let used = self.slabs.remove(&old).unwrap();
+            self.slabs.insert(new, used);
+            self.page_hint.push(new);
+            if used < self.objects_per_page {
+                self.partial_hint.push(new);
+            }
+        }
+
+        fn reap(&mut self) -> Vec<Gfn> {
+            let empty: Vec<Gfn> = (self.slabs.iter())
+                .filter(|&(_, &used)| used == 0)
+                .map(|(&g, _)| g)
+                .collect();
+            for g in &empty {
+                self.slabs.remove(g);
+            }
+            empty
+        }
+    }
+
+    impl Snap for VecSlab {
+        fn snap(&self, w: &mut SnapWriter) {
+            w.put_str(self.name);
+            self.object_size.snap(w);
+            self.objects_per_page.snap(w);
+            self.slabs.snap(w);
+            self.objects.snap(w);
+            self.partial_hint.snap(w);
+            self.page_hint.snap(w);
+            self.total_allocs.snap(w);
+            self.total_frees.snap(w);
+        }
+        fn unsnap(_: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+            unreachable!("only encoded")
+        }
+    }
+
+    fn encoded<T: Snap>(v: &T) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        v.snap(&mut w);
+        w.into_bytes()
+    }
+
+    /// Seeded sequences of every cache call, a fresh page now and then
+    /// being one the cache released before (so a stale hint names it),
+    /// against [`VecSlab`]: the same answers and the same encoded bytes
+    /// after every call, and the bytes survive a codec round trip, which
+    /// the sequence then goes on from.
+    #[test]
+    fn hint_runs_leave_the_bytes_of_vec_stacks() {
+        let mut rng = SimRng::seed_from(28);
+        for case in 0..60 {
+            let object_size = [512, 1024, 2048, 4096][case % 4];
+            let mut runs = SlabCache::new("x", object_size, 4096);
+            let mut vecs = VecSlab::new("x", object_size, 4096);
+            let per_page = u64::from(runs.objects_per_page());
+            let (mut next, mut released) = (0u64, Vec::new());
+            let mut fresh = |rng: &mut SimRng, released: &mut Vec<Gfn>| {
+                if !released.is_empty() && rng.chance(0.5) {
+                    released.swap_remove(rng.next_range(0, released.len() as u64) as usize)
+                } else {
+                    next += 1;
+                    Gfn(next)
+                }
+            };
+            for call in 0..300 {
+                let at = format!("case {case}, call {call}");
+                let owned: Vec<Gfn> = runs.backing_pages().collect();
+                let pick = |rng: &mut SimRng| owned[rng.next_range(0, owned.len() as u64) as usize];
+                let max = rng.next_range(1, 3 * per_page);
+                match rng.next_range(0, 9) {
+                    0 => {
+                        let g = fresh(&mut rng, &mut released);
+                        let got = runs.alloc_object(|| Some(g));
+                        assert_eq!(got, vecs.alloc_object(|| Some(g)), "{at}");
+                        if got != Some(g) {
+                            released.push(g);
+                        }
+                    }
+                    1 => assert_eq!(runs.alloc_object(|| None), vecs.alloc_object(|| None)),
+                    2 => assert_eq!(runs.alloc_from_partial(max), vecs.alloc_from_partial(max)),
+                    3 if runs.objects() > 0 => {
+                        let got = runs.free_any_chunk(max);
+                        assert_eq!(got, vecs.free_any_chunk(max), "{at}");
+                        released.extend(got.and_then(|(_, emptied)| emptied));
+                    }
+                    4 if !owned.is_empty() => {
+                        let g = pick(&mut rng);
+                        let got = runs.free_object(g);
+                        assert_eq!(got, vecs.free_object(g), "{at}");
+                        released.extend(got);
+                    }
+                    5 => {
+                        let got = runs.free_any_object();
+                        assert_eq!(got, vecs.free_any_object(), "{at}");
+                        released.extend(got.flatten());
+                    }
+                    6 if !owned.is_empty() => {
+                        let (old, new) = (pick(&mut rng), fresh(&mut rng, &mut released));
+                        runs.rehome(old, new);
+                        vecs.rehome(old, new);
+                        released.push(old);
+                    }
+                    7 => assert_eq!(runs.reap(), vecs.reap(), "{at}"),
+                    _ => {
+                        // Growth, as `slab_alloc_bulk` does it: once no
+                        // partial slab is left.
+                        let carved = runs.alloc_from_partial(u64::MAX);
+                        assert_eq!(carved, vecs.alloc_from_partial(u64::MAX), "{at}");
+                        let objects = rng.next_range(0, 4 * per_page);
+                        let pages: Vec<Gfn> = (0..objects.div_ceil(per_page))
+                            .map(|_| fresh(&mut rng, &mut released))
+                            .collect();
+                        runs.grow(&pages, objects);
+                        let mut left = objects;
+                        for &g in &pages {
+                            assert_eq!(vecs.alloc_object(|| Some(g)), Some(g), "{at}");
+                            let rest = (left - 1).min(per_page - 1);
+                            assert_eq!(vecs.alloc_from_partial(rest), rest, "{at}");
+                            left -= rest + 1;
+                        }
+                    }
+                }
+                assert!(
+                    encoded(&runs) == encoded(&vecs),
+                    "{at}: the encodings differ"
+                );
+                if call % 25 == 24 {
+                    let bytes = encoded(&runs);
+                    let mut r = SnapReader::new(&bytes);
+                    runs = SlabCache::unsnap(&mut r).expect("the cache decodes");
+                    r.finish().expect("nothing is left over");
+                    assert!(encoded(&runs) == bytes, "{at}: the round trip moved bytes");
+                }
+            }
         }
     }
 
