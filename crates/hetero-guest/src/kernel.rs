@@ -391,16 +391,6 @@ impl GuestKernel {
         got
     }
 
-    /// Free frames on the tiers of a chain, each tier counted once: what a
-    /// run along the chain takes before a call fails.
-    fn chain_free_frames(&self, chain: &[MemKind]) -> u64 {
-        MemKind::ALL
-            .into_iter()
-            .filter(|kind| chain.contains(kind))
-            .map(|kind| self.free_frames(kind))
-            .sum()
-    }
-
     /// Accounts `failed` requests of `page_type` along `chain` that find
     /// no frame, the first of them a run's last call, which failed and
     /// took its steps. That failure left every configured tier of the
@@ -569,8 +559,10 @@ impl GuestKernel {
             assert!(!preference.is_empty(), "preference list must be non-empty");
         }
         let wanted_fast = preference.first() == Some(&MemKind::Fast);
-        if pages > self.chain_free_frames(preference) {
-            let taken = self.raw_alloc_run(preference, pages, out);
+        // A run takes every free frame of the chain before a call fails,
+        // so a short run is a doomed map.
+        let taken = self.raw_alloc_run(preference, pages, out);
+        if taken < pages {
             let mut fast = 0;
             for &gfn in out.iter() {
                 let kind = self.mm.set_free_type(gfn, PageType::HeapAnon);
@@ -588,8 +580,6 @@ impl GuestKernel {
                 page_type: PageType::HeapAnon,
             });
         }
-        out.reserve(pages as usize);
-        self.raw_alloc_run(preference, pages, out);
         // Each descriptor is written in one borrow (state-equivalent to
         // `alloc_page`'s active insert plus an rmap store), and the LRU
         // transitions and allocation statistics are tallied once.
@@ -3049,6 +3039,16 @@ mod tests {
         n
     }
 
+    /// Free frames on the tiers of a chain, each tier counted once: what a
+    /// run along the chain takes before a call fails.
+    fn chain_free_frames(k: &GuestKernel, chain: &[MemKind]) -> u64 {
+        MemKind::ALL
+            .into_iter()
+            .filter(|kind| chain.contains(kind))
+            .map(|kind| k.free_frames(kind))
+            .sum()
+    }
+
     /// `mmap_heap_collect` as it was before heap maps took their frames in
     /// a run: a chain allocation and a descriptor write per page and, when
     /// an allocation fails, a `free_page` of every frame taken.
@@ -3165,7 +3165,7 @@ mod tests {
         let mut rng = hetero_sim::SimRng::seed_from(29);
         for (at, bytes, chain) in run_kernels() {
             let chain: &[MemKind] = chain;
-            let free = decode(bytes).unwrap().chain_free_frames(chain);
+            let free = chain_free_frames(&decode(bytes).unwrap(), chain);
             for n in [1, 2, 33, rng.next_range(1, free + 2), free, free + 1] {
                 let (mut run, mut single) = (decode(bytes).unwrap(), decode(bytes).unwrap());
                 let (mut got, mut want) = (Vec::new(), Vec::new());
@@ -3186,7 +3186,7 @@ mod tests {
         let mut rng = hetero_sim::SimRng::seed_from(30);
         for (at, bytes, chain) in run_kernels() {
             let chain: &[MemKind] = chain;
-            let free = decode(bytes).unwrap().chain_free_frames(chain);
+            let free = chain_free_frames(&decode(bytes).unwrap(), chain);
             let sizes = [
                 1,
                 7,
@@ -3237,7 +3237,7 @@ mod tests {
                 }
             }
             let bytes = encoded(&base);
-            let free = base.chain_free_frames(chain);
+            let free = chain_free_frames(&base, chain);
             for count in [1, 5, 48, rng.next_range(1, free + 30), free + 20] {
                 for file in [FileId(4), FileId(5)] {
                     let (mut run, mut single) = (decode(&bytes).unwrap(), decode(&bytes).unwrap());
@@ -3269,7 +3269,7 @@ mod tests {
         let mut rng = hetero_sim::SimRng::seed_from(32);
         for (at, bytes, chain) in run_kernels() {
             let chain: &[MemKind] = chain;
-            let free = decode(bytes).unwrap().chain_free_frames(chain);
+            let free = chain_free_frames(&decode(bytes).unwrap(), chain);
             for class in [SlabClass::Skbuff, SlabClass::FsMeta] {
                 // Partial slabs with hints to carve first.
                 let mut base = decode(bytes).unwrap();

@@ -576,12 +576,10 @@ mod tests {
     fn round_robin_tail_leaves_the_bytes_of_per_page_allocations() {
         let mut rng = SimRng::seed_from(26);
         for case in 0..400 {
-            // Every stride from 1 to 4 on each CPU count: orbits of every
-            // CPU, of some and of one.
-            let (cpus, stride) = ([2, 3, 5, 16][case % 4], case / 4 % 4 + 1);
+            let cpus = [2, 3, 5, 16][case % 4];
             let (pcp, buddy, cpu) = stranded(&mut rng, cpus);
             let pages = pcp.cached_total(MemKind::Slow) as u64;
-            for n in [
+            let ns = [
                 1,
                 2,
                 3,
@@ -589,7 +587,10 @@ mod tests {
                 pages - 1,
                 pages,
                 pages + 1,
-            ] {
+            ];
+            // Every stride from 1 to 4 on each set: orbits of every CPU,
+            // of some and of one.
+            for (stride, n) in (1..=4).flat_map(|stride| ns.map(|n| (stride, n))) {
                 let (mut bulk, mut bulk_buddy, mut bulk_cpu) = (pcp.clone(), buddy.clone(), cpu);
                 let mut got = Vec::new();
                 let k = bulk.alloc_round_robin(
